@@ -236,13 +236,11 @@ func BenchmarkGenerateDataset(b *testing.B) {
 		}
 		b.ReportMetric(samples, "samples/op")
 	})
-	// The ×64 bitsliced scenarios, each measured twice over identical
-	// output bytes: through the SliceScenario fast path the engine picks
-	// by default, and through the scalar pair path with the sliced
-	// interface hidden behind a wrapper (the pre-bitslice engine).
+	// The ×64 bitsliced scenarios, through the SliceScenario windows
+	// the engine picks for them.
 	for _, tc := range []struct {
 		name string
-		s    core.BatchScenario
+		s    core.Scenario
 	}{
 		{name: "simon8", s: firstErr(core.NewSimonScenario(8))},
 		{name: "simon-rk10", s: firstErr(core.NewSimonRKScenario(10))},
@@ -261,23 +259,12 @@ func BenchmarkGenerateDataset(b *testing.B) {
 			}
 			b.ReportMetric(samples, "samples/op")
 		})
-		b.Run(tc.name+"-pair", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.GenerateDataset(pairPathOnly{tc.s}, perClass, prng.New(1))
-			}
-			b.ReportMetric(samples, "samples/op")
-		})
 	}
 }
 
-// pairPathOnly hides every interface of the wrapped scenario except
-// BatchScenario, forcing GenerateDataset onto the scalar pair path.
-type pairPathOnly struct{ core.BatchScenario }
-
 // firstErr collapses a (scenario, error) constructor result to nil on
 // error so table construction stays declarative.
-func firstErr[S core.BatchScenario](s S, err error) core.BatchScenario {
+func firstErr[S core.Scenario](s S, err error) core.Scenario {
 	if err != nil {
 		return nil
 	}

@@ -116,7 +116,7 @@ func TestHashScenarioConsistentWithSponge(t *testing.T) {
 	}
 	// Replicate Sample(class=1) with the same PRNG stream.
 	r1 := prng.New(5)
-	features := s.Sample(r1, 1)
+	features := core.Sample(s, r1, 1)
 
 	r2 := prng.New(5)
 	msg := r2.Bytes(15)
@@ -143,7 +143,7 @@ func TestCipherScenarioConsistentWithDuplex(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := prng.New(6)
-	features := s.Sample(r1, 0)
+	features := core.Sample(s, r1, 0)
 
 	r2 := prng.New(6)
 	key := r2.Bytes(duplex.KeySize)

@@ -42,11 +42,7 @@ func Measure(s core.Scenario, perClass int, r *prng.Rand) (*Profile, error) {
 	for c := 0; c < t; c++ {
 		p.P[c] = make([]float64, dim)
 		for i := 0; i < perClass; i++ {
-			x := s.Sample(r, c)
-			if len(x) != dim {
-				return nil, fmt.Errorf("bias: sample has %d features, want %d", len(x), dim)
-			}
-			for j, v := range x {
+			for j, v := range core.Sample(s, r, c) {
 				if v >= 0.5 {
 					p.P[c][j]++
 				}

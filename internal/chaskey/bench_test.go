@@ -6,9 +6,9 @@ import (
 	"repro/internal/chaskey"
 )
 
-// BenchmarkChaskeyPermute measures the sampler's hot loop at the
-// registered 3-round depth and the full 8-round permutation: scalar
-// pair of permutations versus the interleaved pair path.
+// BenchmarkChaskeyPermute measures the sampler's hot loop — two scalar
+// permutations at the registered 3-round depth — against the ×64 sliced
+// kernel at 3 rounds and at the full 8-round permutation.
 func BenchmarkChaskeyPermute(b *testing.B) {
 	v := chaskey.State{0x833d3433, 0x009f389f, 0x2398e64f, 0x417acf39}
 	b.Run("scalar-3r", func(b *testing.B) {
@@ -19,27 +19,9 @@ func BenchmarkChaskeyPermute(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("pair-3r", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink chaskey.State
-		for i := 0; i < b.N; i++ {
-			x, y := chaskey.PermutePairRounds(v, v.XOR(chaskey.NDDelta), 3)
-			sink = x.XOR(y)
-		}
-		_ = sink
-	})
-	b.Run("pair-8r", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink chaskey.State
-		for i := 0; i < b.N; i++ {
-			x, y := chaskey.PermutePairRounds(v, v.XOR(chaskey.NDDelta), chaskey.Rounds)
-			sink = x.XOR(y)
-		}
-		_ = sink
-	})
 	// The ×64 sliced kernel amortises rounds across 64 lanes; ns/op here
 	// covers 64 difference pairs, so divide by 64 to compare against the
-	// scalar paths above.
+	// scalar loop above.
 	var lo, hi [64]uint64
 	for l := 0; l < 64; l++ {
 		s := v

@@ -106,42 +106,6 @@ func InvPermute(s State, n int) State {
 	return State{v0, v1, v2, v3}
 }
 
-// PermutePairRounds applies n rounds to two independent states in one
-// interleaved pass, bit-identical to two Permute calls. The
-// differential sampler always permutes a state pair (V, V ⊕ Δ) per
-// sample, and the two ARX chains are independent, so interleaving them
-// doubles the instruction-level parallelism of the hot loop.
-func PermutePairRounds(a, b State, n int) (State, State) {
-	if n < 0 || n > LTSRounds {
-		panic(fmt.Sprintf("chaskey: invalid round count %d", n))
-	}
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-	for i := 0; i < n; i++ {
-		a0 += a1
-		b0 += b1
-		a1 = bits.RotL32(a1, 5) ^ a0
-		b1 = bits.RotL32(b1, 5) ^ b0
-		a0 = bits.RotL32(a0, 16)
-		b0 = bits.RotL32(b0, 16)
-		a2 += a3
-		b2 += b3
-		a3 = bits.RotL32(a3, 8) ^ a2
-		b3 = bits.RotL32(b3, 8) ^ b2
-		a0 += a3
-		b0 += b3
-		a3 = bits.RotL32(a3, 13) ^ a0
-		b3 = bits.RotL32(b3, 13) ^ b0
-		a2 += a1
-		b2 += b1
-		a1 = bits.RotL32(a1, 7) ^ a2
-		b1 = bits.RotL32(b1, 7) ^ b2
-		a2 = bits.RotL32(a2, 16)
-		b2 = bits.RotL32(b2, 16)
-	}
-	return State{a0, a1, a2, a3}, State{b0, b1, b2, b3}
-}
-
 // NDDelta is the input difference (0, 0x80000000, 0, 0) used by the
 // distinguisher scenario: flipping the most significant bit of v1
 // propagates through the round's first modular addition with

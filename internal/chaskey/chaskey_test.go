@@ -75,9 +75,8 @@ func TestPermuteRoundTrip(t *testing.T) {
 func TestRoundCountPanics(t *testing.T) {
 	for _, n := range []int{-1, LTSRounds + 1} {
 		for name, fn := range map[string]func(){
-			"Permute":           func() { Permute(State{}, n) },
-			"InvPermute":        func() { InvPermute(State{}, n) },
-			"PermutePairRounds": func() { PermutePairRounds(State{}, State{}, n) },
+			"Permute":    func() { Permute(State{}, n) },
+			"InvPermute": func() { InvPermute(State{}, n) },
 		} {
 			func() {
 				defer func() {
@@ -87,17 +86,6 @@ func TestRoundCountPanics(t *testing.T) {
 				}()
 				fn()
 			}()
-		}
-	}
-}
-
-func TestPermutePairMatchesScalar(t *testing.T) {
-	a := State{1, 2, 3, 4}
-	b := refKey
-	for _, n := range []int{0, 3, Rounds} {
-		ga, gb := PermutePairRounds(a, b, n)
-		if ga != Permute(a, n) || gb != Permute(b, n) {
-			t.Fatalf("pair path diverges at %d rounds", n)
 		}
 	}
 }

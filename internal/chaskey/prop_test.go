@@ -46,19 +46,6 @@ func TestBytesRoundTrip(t *testing.T) {
 	})
 }
 
-// TestPairMatchesScalar: the interleaved pair path is bit-identical to
-// two scalar Permute calls.
-func TestPairMatchesScalar(t *testing.T) {
-	testkit.Check(t, "chaskey-pair-vs-scalar", testkit.ChaskeyCases(), func(c testkit.ChaskeyCase) error {
-		other := c.State.XOR(chaskey.NDDelta)
-		a, b := chaskey.PermutePairRounds(c.State, other, c.Rounds)
-		if a != chaskey.Permute(c.State, c.Rounds) || b != chaskey.Permute(other, c.Rounds) {
-			return fmt.Errorf("pair path diverges over %d rounds", c.Rounds)
-		}
-		return nil
-	})
-}
-
 // TestMACDistinctUnderKeys: the MAC separates keys (sampled check that
 // the state-as-key influences the tag).
 func TestMACDistinctUnderKeys(t *testing.T) {

@@ -16,7 +16,7 @@ package chaskey
 // offset. On amd64 a word-sliced AVX2 kernel (sliced_amd64.s) replaces
 // the plane walk entirely — VPADDD gives native 32-bit lane adds, so
 // slicing to bit planes buys nothing there — and sliced_test.go pins
-// both paths lane-for-lane against PermutePairRounds.
+// both paths lane-for-lane against two scalar Permute calls.
 
 import (
 	"fmt"

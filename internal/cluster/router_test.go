@@ -68,7 +68,7 @@ func sampleRows(d *core.Distinguisher, seed uint64, n int) ([][]float64, []int) 
 	cls := d.Scenario.Classes()
 	for i := range rows {
 		labels[i] = i % cls
-		rows[i] = d.Scenario.Sample(r, labels[i])
+		rows[i] = core.Sample(d.Scenario, r, labels[i])
 	}
 	return rows, labels
 }

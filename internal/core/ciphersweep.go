@@ -92,32 +92,10 @@ func (s *SimonScenario) DrawWords(class int) int {
 	return 6
 }
 
-// Sample returns a real output difference for class 1 and a random
-// 32-bit difference for class 0.
-func (s *SimonScenario) Sample(r *prng.Rand, class int) []float64 {
-	if class == 0 {
-		return s.RandomSample(r)
-	}
-	k := simon.Key{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()}
-	p := simon.Block{X: r.Uint16(), Y: r.Uint16()}
-	ca := simon.New(k)
-	cb := ca
-	if !s.KeyD.IsZero() {
-		cb = simon.New(k.XOR(s.KeyD))
-	}
-	d := ca.EncryptRounds(p, s.Rounds).XOR(cb.EncryptRounds(p.XOR(s.Delta), s.Rounds))
-	return bits.ToFloats(make([]float64, 0, 32), d.Bytes())
-}
-
-// RandomSample returns a uniformly random 32-bit difference.
-func (s *SimonScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
-}
-
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation. Class 1 re-keys one or two stack Ciphers and encrypts
-// the plaintext pair in one interleaved pass (the related-key chains
-// carry distinct round keys, so the pair path takes both schedules).
+// SampleBatch writes a real output difference for class 1 and a
+// uniformly random 32-bit difference for class 0. Class 1 draws a key K
+// and a plaintext P and encrypts P under K and P ⊕ Delta under
+// K ⊕ KeyD (under K again when KeyD is zero).
 func (s *SimonScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		dst[0] = r.Uint64() & 0xffffffff
@@ -132,8 +110,7 @@ func (s *SimonScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 		cb.Expand(k.XOR(s.KeyD))
 		second = &cb
 	}
-	a, b := simon.EncryptCrossPairRounds(&ca, second, p, p.XOR(s.Delta), s.Rounds)
-	d := a.XOR(b)
+	d := ca.EncryptRounds(p, s.Rounds).XOR(second.EncryptRounds(p.XOR(s.Delta), s.Rounds))
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
@@ -247,30 +224,9 @@ func (s *SimeckScenario) DrawWords(class int) int {
 	return 6
 }
 
-// Sample returns a real output difference for class 1 and a random
-// 32-bit difference for class 0.
-func (s *SimeckScenario) Sample(r *prng.Rand, class int) []float64 {
-	if class == 0 {
-		return s.RandomSample(r)
-	}
-	k := simeck.Key{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()}
-	p := simeck.Block{X: r.Uint16(), Y: r.Uint16()}
-	ca := simeck.New(k)
-	cb := ca
-	if !s.KeyD.IsZero() {
-		cb = simeck.New(k.XOR(s.KeyD))
-	}
-	d := ca.EncryptRounds(p, s.Rounds).XOR(cb.EncryptRounds(p.XOR(s.Delta), s.Rounds))
-	return bits.ToFloats(make([]float64, 0, 32), d.Bytes())
-}
-
-// RandomSample returns a uniformly random 32-bit difference.
-func (s *SimeckScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
-}
-
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation.
+// SampleBatch writes a real output difference for class 1 and a
+// uniformly random 32-bit difference for class 0, drawing and keying
+// exactly as SimonScenario.SampleBatch does.
 func (s *SimeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		dst[0] = r.Uint64() & 0xffffffff
@@ -285,8 +241,7 @@ func (s *SimeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 		cb.Expand(k.XOR(s.KeyD))
 		second = &cb
 	}
-	a, b := simeck.EncryptCrossPairRounds(&ca, second, p, p.XOR(s.Delta), s.Rounds)
-	d := a.XOR(b)
+	d := ca.EncryptRounds(p, s.Rounds).XOR(second.EncryptRounds(p.XOR(s.Delta), s.Rounds))
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
@@ -361,28 +316,12 @@ func (s *ChaskeyScenario) Classes() int { return 2 }
 // FeatureLen returns 128: one state difference.
 func (s *ChaskeyScenario) FeatureLen() int { return 128 }
 
-// Sample returns a real permutation output difference for class 1 and
-// a random 128-bit difference for class 0.
-func (s *ChaskeyScenario) Sample(r *prng.Rand, class int) []float64 {
-	if class == 0 {
-		return s.RandomSample(r)
-	}
-	v := chaskey.State{r.Uint32(), r.Uint32(), r.Uint32(), r.Uint32()}
-	d := chaskey.Permute(v, s.Rounds).XOR(chaskey.Permute(v.XOR(s.Delta), s.Rounds))
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), d.Bytes())
-}
-
-// RandomSample returns a uniformly random 128-bit difference.
-func (s *ChaskeyScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(chaskey.StateBytes))
-}
-
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation. The state serializes little-endian word by word, and
-// the packed-row layout is little-endian bit order, so state word w of
-// the XOR lands in half-word w of dst unchanged (the packRateDiff
-// argument); class 0's sixteen random bytes are two generator outputs
-// exactly as Bytes(16) lays them out.
+// SampleBatch writes a real permutation output difference for class 1
+// and a uniformly random 128-bit difference (two generator outputs) for
+// class 0. The state serializes little-endian word by word, and the
+// packed-row layout is little-endian bit order, so state word w of the
+// difference lands in half-word w of dst unchanged (the packRateDiff
+// argument).
 func (s *ChaskeyScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		dst[0] = r.Uint64()
@@ -390,9 +329,9 @@ func (s *ChaskeyScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 		return
 	}
 	v := chaskey.State{r.Uint32(), r.Uint32(), r.Uint32(), r.Uint32()}
-	a, b := chaskey.PermutePairRounds(v, v.XOR(s.Delta), s.Rounds)
-	dst[0] = uint64(a[0]^b[0]) | uint64(a[1]^b[1])<<32
-	dst[1] = uint64(a[2]^b[2]) | uint64(a[3]^b[3])<<32
+	d := chaskey.Permute(v, s.Rounds).XOR(chaskey.Permute(v.XOR(s.Delta), s.Rounds))
+	dst[0] = uint64(d[0]) | uint64(d[1])<<32
+	dst[1] = uint64(d[2]) | uint64(d[3])<<32
 }
 
 // SliceRows returns the bitsliced window: 64 permutation lanes plus
@@ -429,11 +368,10 @@ func (s *ChaskeyScenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, d
 }
 
 // Compile-time checks that the sweep scenarios stay wired to their
-// fast-path and related-key contracts.
+// bitsliced windows and related-key contracts.
 var (
 	_ RelatedKeyScenario = (*SimonScenario)(nil)
 	_ RelatedKeyScenario = (*SimeckScenario)(nil)
-	_ BatchScenario      = (*ChaskeyScenario)(nil)
 	_ SliceScenario      = (*SimonScenario)(nil)
 	_ SliceScenario      = (*SimeckScenario)(nil)
 	_ SliceScenario      = (*ChaskeyScenario)(nil)

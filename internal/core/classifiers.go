@@ -191,7 +191,6 @@ var (
 	_ Classifier        = (*svm.Logistic)(nil)
 	_ DatasetClassifier = (*NNClassifier)(nil)
 	_ Classifier        = (*BitBiasClassifier)(nil)
-	_ Classifier        = Batched{}
 )
 
 // BitBiasClassifier is a non-ML analytic baseline: it estimates the
@@ -291,4 +290,10 @@ func (b *BitBiasClassifier) Predict(x []float64) int {
 }
 
 // PredictBatch loops the naive-Bayes rule over the batch.
-func (b *BitBiasClassifier) PredictBatch(x [][]float64) []int { return PredictEach(b, x) }
+func (b *BitBiasClassifier) PredictBatch(x [][]float64) []int {
+	out := make([]int, len(x))
+	for i, row := range x {
+		out[i] = b.Predict(row)
+	}
+	return out
+}

@@ -9,9 +9,10 @@ import (
 	"repro/internal/testkit"
 )
 
-// TestRegisteredScenarioContracts: every registered scenario's Sample
-// and RandomSample must return {0,1} feature vectors of exactly
-// FeatureLen entries, for every class, under arbitrary seeds.
+// TestRegisteredScenarioContracts: every registered scenario's
+// SampleBatch must fully overwrite dst, leave the tail bits zero and
+// honour any declared draw layout, for every class, under arbitrary
+// seeds.
 func TestRegisteredScenarioContracts(t *testing.T) {
 	scs := core.RegisteredScenarios()
 	if len(scs) < 11 {
@@ -21,8 +22,8 @@ func TestRegisteredScenarioContracts(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
-			// 60 draws per scenario: each class plus the random baseline
-			// gets sampled repeatedly; Trivium inits dominate the cost.
+			// 60 draws per scenario: each class gets sampled repeatedly;
+			// Trivium inits dominate the cost.
 			testkit.CheckScenario(t, s, testkit.Config{Count: 60})
 		})
 	}

@@ -23,12 +23,19 @@
 package core
 
 import (
+	"repro/internal/bits"
 	"repro/internal/prng"
 )
 
 // Scenario produces labelled output-difference samples for a chosen
 // set of input differences. Implementations must be deterministic
 // functions of the provided generator.
+//
+// SampleBatch is the scenario's one sampler and its conformance oracle:
+// dataset generation, the online oracles and the float views below all
+// derive from it. testkit.CheckScenario holds every registered scenario
+// to this contract, and the package tests compare each against a
+// specification reference built from the cipher packages' scalar API.
 type Scenario interface {
 	// Name identifies the scenario in reports.
 	Name() string
@@ -37,69 +44,50 @@ type Scenario interface {
 	// FeatureLen returns the length of the feature vectors (bits of
 	// observed output difference).
 	FeatureLen() int
-	// Sample returns one cipher output-difference feature vector for
-	// the given class (difference index).
-	Sample(r *prng.Rand, class int) []float64
-	// RandomSample returns what the same query would produce if the
-	// oracle were a random function: a uniformly random difference
-	// feature vector.
-	RandomSample(r *prng.Rand) []float64
-}
-
-// BatchScenario is the packed fast path of Scenario: SampleBatch is
-// Sample with the float materialization stripped out. It must write
-// exactly the bits Sample would return — bit i of the feature vector
-// at bit i%64 of dst[i/64] (the bits.PackFloats layout) — and must
-// consume exactly the same generator outputs as Sample, so the two
-// paths are interchangeable row by row (testkit.CheckScenario enforces
-// both). dst has FeatureLen()/64 words, rounded up.
-type BatchScenario interface {
-	Scenario
-	// SampleBatch writes one packed cipher sample for the class into dst
-	// without allocating.
+	// SampleBatch writes one cipher output-difference sample for the
+	// class (difference index) into dst: bit i of the feature vector at
+	// bit i%64 of dst[i/64] (the bits.PackFloats layout). dst has bits.PackedWords(FeatureLen()) words; every word
+	// is overwritten and the bits past FeatureLen are zero.
 	SampleBatch(r *prng.Rand, class int, dst []uint64)
 }
 
-// PairScenario additionally samples two rows at once. For the GIMLI
-// scenarios one sample already costs two permutation calls, so a row
-// pair is four independent states and SamplePair can run the
-// ×4-interleaved permutation kernel. Each row must consume only its
-// own generator (r0/r1 positional substreams) and produce exactly the
-// bytes SampleBatch would, so the generation engine can pair rows
-// freely without moving any stream.
-type PairScenario interface {
-	BatchScenario
-	// SamplePair writes packed samples for (class0, r0) into dst0 and
-	// (class1, r1) into dst1.
-	SamplePair(r0, r1 *prng.Rand, class0, class1 int, dst0, dst1 []uint64)
+// Sample returns one cipher output-difference feature vector for the
+// class as {0,1} floats: SampleBatch, expanded.
+func Sample(s Scenario, r *prng.Rand, class int) []float64 {
+	n := s.FeatureLen()
+	packed := make([]uint64, bits.PackedWords(n))
+	s.SampleBatch(r, class, packed)
+	return bits.ExpandBits(make([]float64, n), packed, n)
 }
 
-// QuadScenario additionally samples four rows at once — the width of
-// the ×8-interleaved GIMLI kernel (each sample is a state pair). The
-// same per-row rules as SamplePair apply: row k must consume only its
-// own generator r[k] and produce exactly the bytes SampleBatch would,
-// so the generation engine can group rows freely without moving any
-// stream.
-type QuadScenario interface {
-	PairScenario
-	// SampleQuad writes packed samples for (class[k], r[k]) into dst[k]
-	// for k = 0..3.
-	SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64)
+// RandomSample returns what the same query would produce if the oracle
+// were a random function: a uniformly random FeatureLen-bit difference.
+// It draws one generator output per packed word, and the bits past
+// FeatureLen of the last word are dropped.
+func RandomSample(s Scenario, r *prng.Rand) []float64 {
+	n := s.FeatureLen()
+	x := make([]float64, n)
+	for lo := 0; lo < n; lo += 64 {
+		w := r.Uint64()
+		for i := lo; i < n && i < lo+64; i++ {
+			x[i] = float64(w >> uint(i-lo) & 1)
+		}
+	}
+	return x
 }
 
-// SliceScenario is the widest generation fast path: one SampleSlice
+// SliceScenario is the optional wide generation path: one SampleSlice
 // call fills a whole window of SliceRows consecutive dataset rows,
-// letting the scenario drive a bitsliced many-lane kernel. Unlike the
-// narrower fast paths the engine does not pre-seed generators — the
-// scenario derives each row's positional substream itself — but the
-// determinism contract is unchanged: row j must consume exactly the
-// outputs SampleBatch would consume from prng.NewStream(base, j), must
-// produce exactly its bytes, and must be labelled class j%Classes().
-// The engine only calls SampleSlice on windows fully inside one worker
-// shard; remainder rows take the narrower paths, so output stays
-// byte-identical at every worker count.
+// letting the scenario drive a bitsliced many-lane kernel. The
+// scenario derives each row's positional substream itself, but the
+// determinism contract is that of SampleBatch: row j must consume
+// exactly the outputs SampleBatch would consume from
+// prng.NewStream(base, j), must produce exactly its bytes, and must be
+// labelled class j%Classes(). The engine only calls SampleSlice on
+// windows fully inside one worker shard; remainder rows take
+// SampleBatch, so output stays byte-identical at every worker count.
 type SliceScenario interface {
-	BatchScenario
+	Scenario
 	// SliceRows returns the window width in rows. It must be even and
 	// positive, and is assumed to be a multiple of Classes().
 	SliceRows() int
@@ -120,7 +108,7 @@ type SliceScenario interface {
 // Related-key sampling draws more structure per row (a key, then a
 // plaintext, in a fixed order), so implementations additionally declare
 // their per-class generator layout via DrawWords, and
-// testkit.CheckScenario audits the declaration: Sample for a class
+// testkit.CheckScenario audits the declaration: SampleBatch for a class
 // must consume exactly DrawWords(class) 64-bit outputs. Row-positional
 // substreams (prng.NewStream(base, row)) already make
 // GenerateDataset/GenerateDatasetParallel byte-identical at any worker
@@ -128,13 +116,13 @@ type SliceScenario interface {
 // consumption down so a related-key path that silently draws
 // differently from its specification cannot pass conformance.
 type RelatedKeyScenario interface {
-	BatchScenario
+	Scenario
 	// KeyDelta returns the key difference ∇ serialized in the cipher's
 	// NewFromBytes layout. All-zero means single-key.
 	KeyDelta() []byte
 	// DrawWords returns the exact number of 64-bit generator outputs
-	// one Sample or SampleBatch call consumes for the given cipher
-	// class (0 ≤ class < Classes()).
+	// one SampleBatch call consumes for the given cipher class
+	// (0 ≤ class < Classes()).
 	DrawWords(class int) int
 }
 
@@ -158,56 +146,13 @@ type DatasetClassifier interface {
 // PredictBatch classifies many samples at once; the online and
 // evaluation loops always go through it, so implementations with a
 // vectorized forward pass (the neural networks) amortize per-call
-// overhead across the whole batch. Implementations that only have a
-// per-sample rule can delegate to PredictEach, or wrap a
-// Predict-only model in Batched.
+// overhead across the whole batch.
 type Classifier interface {
 	Name() string
 	Fit(x [][]float64, y []int) error
 	Predict(x []float64) int
 	PredictBatch(x [][]float64) []int
 }
-
-// Predictor is the single-sample half of Classifier, the minimal
-// surface PredictEach needs.
-type Predictor interface {
-	Predict(x []float64) int
-}
-
-// PredictEach implements PredictBatch by repeated Predict calls — the
-// default adapter for classifiers without a native batch path.
-func PredictEach(p Predictor, x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = p.Predict(row)
-	}
-	return out
-}
-
-// SingleClassifier is a classifier that only knows how to score one
-// sample at a time (the pre-batching Classifier interface).
-type SingleClassifier interface {
-	Name() string
-	Fit(x [][]float64, y []int) error
-	Predict(x []float64) int
-}
-
-// Batched lifts a Predict-only classifier to the full Classifier
-// interface by looping, so user-provided models keep working without
-// implementing a batch path themselves.
-type Batched struct{ C SingleClassifier }
-
-// Name identifies the wrapped classifier.
-func (b Batched) Name() string { return b.C.Name() }
-
-// Fit delegates to the wrapped classifier.
-func (b Batched) Fit(x [][]float64, y []int) error { return b.C.Fit(x, y) }
-
-// Predict delegates to the wrapped classifier.
-func (b Batched) Predict(x []float64) int { return b.C.Predict(x) }
-
-// PredictBatch loops Predict over the batch.
-func (b Batched) PredictBatch(x [][]float64) []int { return PredictEach(b.C, x) }
 
 // Oracle answers online-phase queries: given a class index, it returns
 // the output-difference features the attacker would compute from its
@@ -220,10 +165,10 @@ type Oracle interface {
 type CipherOracle struct{ S Scenario }
 
 // Query returns a true cipher sample for the class.
-func (o CipherOracle) Query(r *prng.Rand, class int) []float64 { return o.S.Sample(r, class) }
+func (o CipherOracle) Query(r *prng.Rand, class int) []float64 { return Sample(o.S, r, class) }
 
 // RandomOracle is the ORACLE = RANDOM case.
 type RandomOracle struct{ S Scenario }
 
 // Query ignores the class and returns a random difference.
-func (o RandomOracle) Query(r *prng.Rand, class int) []float64 { return o.S.RandomSample(r) }
+func (o RandomOracle) Query(r *prng.Rand, class int) []float64 { return RandomSample(o.S, r) }

@@ -97,12 +97,10 @@ func (d *Dataset) Rows() [][]float64 {
 
 // GenerateDataset draws perClass cipher samples for each of the
 // scenario's classes, interleaved so that truncation keeps balance.
-// Rows are written to the dataset's packed backing store (see Dataset):
-// scenarios implementing BatchScenario/PairScenario pack cipher output
-// directly, anything else falls back to packing Sample's float vector.
-// Read samples back through Row/Rows; the float views those return are
-// materialized lazily, and a Row view is only valid until the next Row
-// call on the same scratch slice.
+// Rows are written by SampleBatch straight into the dataset's packed
+// backing store (see Dataset). Read samples back through Row/Rows; the
+// float views those return are materialized lazily, and a Row view is
+// only valid until the next Row call on the same scratch slice.
 //
 // Determinism contract: exactly one output is consumed from r to
 // derive a base seed, and row j (canonical interleaved order: sample
@@ -110,8 +108,8 @@ func (d *Dataset) Rows() [][]float64 {
 // substream prng.NewStream(base, j). Because each row owns its
 // substream, any partition of rows across workers reproduces the same
 // bytes — GenerateDataset and GenerateDatasetParallel are
-// interchangeable at every worker count, and the packed fast paths are
-// byte-identical to the per-row Sample path (regression-tested across
+// interchangeable at every worker count, and the slice windows are
+// byte-identical to per-row SampleBatch (regression-tested across
 // every registered scenario).
 func GenerateDataset(s Scenario, perClass int, r *prng.Rand) *Dataset {
 	return GenerateDatasetParallel(s, perClass, r, 1)
@@ -134,52 +132,25 @@ func GenerateDatasetParallel(s Scenario, perClass int, r *prng.Rand, workers int
 	// reproducible.
 	base := r.Uint64()
 	d := newDataset(n, s.FeatureLen())
-	bs, _ := s.(BatchScenario)
-	ps, _ := s.(PairScenario)
-	qs, _ := s.(QuadScenario)
 	ss, _ := s.(SliceScenario)
-	// fill generates rows [lo, hi), widest fast path first: bitsliced
-	// slice windows, then quads, then pairs, then single rows. Each row
-	// is drawn from its positional substream — the narrow paths reseed
-	// the worker generators per row, the slice path derives substreams
-	// itself — so every path consumes exactly the same draws per row and
-	// shard boundaries cannot shift any stream. In the BatchScenario
-	// steady state this loop does not allocate: rows are packed into the
-	// preallocated backing store.
-	fill := func(lo, hi int, rs *[4]prng.Rand) {
+	// fill generates rows [lo, hi): bitsliced slice windows first when
+	// the scenario has them, then one SampleBatch per row from the row's
+	// positional substream. Both paths consume exactly the same draws per
+	// row, so shard boundaries cannot shift any stream. The engine
+	// allocates nothing per row: rows are packed into the preallocated
+	// backing store.
+	fill := func(lo, hi int, rw *prng.Rand) {
 		j := lo
 		if ss != nil {
 			w := ss.SliceRows()
 			for ; j+w <= hi; j += w {
-				ss.SampleSlice(&rs[0], base, j, d.bits[j*d.words:(j+w)*d.words], d.Y[j:j+w])
-			}
-		}
-		if qs != nil {
-			for ; j+3 < hi; j += 4 {
-				for k := 0; k < 4; k++ {
-					rs[k].SeedStream(base, uint64(j+k))
-				}
-				qs.SampleQuad(rs, [4]int{j % t, (j + 1) % t, (j + 2) % t, (j + 3) % t},
-					[4][]uint64{d.Packed(j), d.Packed(j + 1), d.Packed(j + 2), d.Packed(j + 3)})
-				d.Y[j], d.Y[j+1], d.Y[j+2], d.Y[j+3] = j%t, (j+1)%t, (j+2)%t, (j+3)%t
-			}
-		}
-		if ps != nil {
-			for ; j+1 < hi; j += 2 {
-				rs[0].SeedStream(base, uint64(j))
-				rs[1].SeedStream(base, uint64(j+1))
-				ps.SamplePair(&rs[0], &rs[1], j%t, (j+1)%t, d.Packed(j), d.Packed(j+1))
-				d.Y[j], d.Y[j+1] = j%t, (j+1)%t
+				ss.SampleSlice(rw, base, j, d.bits[j*d.words:(j+w)*d.words], d.Y[j:j+w])
 			}
 		}
 		for ; j < hi; j++ {
-			rs[0].SeedStream(base, uint64(j))
+			rw.SeedStream(base, uint64(j))
 			c := j % t
-			if bs != nil {
-				bs.SampleBatch(&rs[0], c, d.Packed(j))
-			} else {
-				bits.PackFloats(d.Packed(j), s.Sample(&rs[0], c))
-			}
+			s.SampleBatch(rw, c, d.Packed(j))
 			d.Y[j] = c
 		}
 	}
@@ -197,7 +168,7 @@ func GenerateDatasetParallel(s Scenario, perClass int, r *prng.Rand, workers int
 		workers = n
 	}
 	if workers <= 1 || n == 0 {
-		fill(0, n, &[4]prng.Rand{})
+		fill(0, n, &prng.Rand{})
 		return d
 	}
 	var wg sync.WaitGroup
@@ -210,7 +181,7 @@ func GenerateDatasetParallel(s Scenario, perClass int, r *prng.Rand, workers int
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fill(lo, hi, &[4]prng.Rand{})
+			fill(lo, hi, &prng.Rand{})
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -11,41 +11,16 @@ import (
 	"repro/internal/simon"
 )
 
-// The sweep fuzz targets drive a scenario's packed SampleBatch fast
-// path and its scalar Sample path from fuzzer-chosen seeds, rounds and
-// differences, and require bit-identical output and generator
-// consumption — the BatchScenario contract under adversarial inputs
-// rather than the conformance suite's random draws. They live in
-// package core (not testkit) because testkit imports core.
-
-// crossCheckBatch asserts SampleBatch(seed, class) equals the packed
-// Sample(seed, class) and consumed the same generator state.
-func crossCheckBatch(t *testing.T, s BatchScenario, seed uint64, class int) {
-	t.Helper()
-	r := prng.NewStream(seed, 0)
-	vec := s.Sample(r, class)
-	want := make([]uint64, bits.PackedWords(s.FeatureLen()))
-	bits.PackFloats(want, vec)
-	rb := prng.NewStream(seed, 0)
-	got := make([]uint64, len(want))
-	for i := range got {
-		got[i] = ^uint64(0)
-	}
-	s.SampleBatch(rb, class, got)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s class %d seed %#x: SampleBatch word %d = %#x, Sample packs to %#x",
-				s.Name(), class, seed, i, got[i], want[i])
-		}
-	}
-	if r.Uint64() != rb.Uint64() {
-		t.Fatalf("%s class %d seed %#x: SampleBatch consumed different generator state", s.Name(), class, seed)
-	}
-}
+// The sweep fuzz targets drive a scenario's SampleBatch sampler and its
+// bitsliced SampleSlice window from fuzzer-chosen seeds, rounds and
+// differences, and require both to reproduce the specification
+// reference (specSample) bit for bit — the sampler contract under
+// adversarial inputs rather than the conformance suite's random draws.
+// They live in package core (not testkit) because testkit imports core.
 
 // crossCheckSlice asserts one SampleSlice window at an arbitrary (and
 // arbitrarily aligned) firstRow reproduces, row for row, what the
-// narrow SampleBatch path draws from each row's positional substream —
+// specification reference draws from each row's positional substream —
 // the SliceScenario determinism contract under adversarial inputs.
 func crossCheckSlice(t *testing.T, s SliceScenario, seed uint64, firstRow int) {
 	t.Helper()
@@ -57,25 +32,24 @@ func crossCheckSlice(t *testing.T, s SliceScenario, seed uint64, firstRow int) {
 	want := make([]uint64, words)
 	for i := 0; i < w; i++ {
 		j := firstRow + i
-		rb := prng.NewStream(seed, uint64(j))
-		s.SampleBatch(rb, j%s.Classes(), want)
+		bits.PackFloats(want, specSample(s, prng.NewStream(seed, uint64(j)), j%s.Classes()))
 		if y[i] != j%s.Classes() {
 			t.Fatalf("%s seed %#x row %d: SampleSlice label %d, want %d", s.Name(), seed, j, y[i], j%s.Classes())
 		}
 		for k := 0; k < words; k++ {
 			if dst[i*words+k] != want[k] {
-				t.Fatalf("%s seed %#x row %d: SampleSlice word %d = %#x, SampleBatch %#x",
+				t.Fatalf("%s seed %#x row %d: SampleSlice word %d = %#x, spec %#x",
 					s.Name(), seed, j, k, dst[i*words+k], want[k])
 			}
 		}
 	}
 }
 
-// FuzzSimonEncrypt cross-checks the SIMON scenario's packed and scalar
-// sampling paths over fuzzer-chosen seeds, rounds, plaintext and key
-// differences (single-key and related-key), the bitsliced window path
-// at an adversarial window start, and the cipher's own round-trip for
-// the same parameters.
+// FuzzSimonEncrypt cross-checks the SIMON scenario's SampleBatch and
+// bitsliced window (at an adversarial window start) against the spec
+// over fuzzer-chosen seeds, rounds, plaintext and key differences
+// (single-key and related-key), and the cipher's own round-trip for the
+// same parameters.
 func FuzzSimonEncrypt(f *testing.F) {
 	f.Add(uint64(1), uint(8), uint16(0), uint16(0x40), uint16(0x40), uint(0))
 	f.Add(uint64(2), uint(11), uint16(0x8000), uint16(0), uint16(0), uint(3))
@@ -119,10 +93,10 @@ func FuzzSimeckEncrypt(f *testing.F) {
 	})
 }
 
-// FuzzChaskeyPermute cross-checks the Chaskey scenario's packed and
-// scalar sampling paths over fuzzer-chosen seeds, rounds and state
-// differences, and checks InvPermute inverts Permute for the same
-// parameters.
+// FuzzChaskeyPermute cross-checks the Chaskey scenario's SampleBatch
+// and bitsliced window against the spec over fuzzer-chosen seeds,
+// rounds and state differences, and checks InvPermute inverts Permute
+// for the same parameters.
 func FuzzChaskeyPermute(f *testing.F) {
 	f.Add(uint64(1), uint(3), uint32(0), uint32(0x80000000), uint(0))
 	f.Add(uint64(2), uint(8), uint32(1), uint32(0), uint(3))
@@ -143,10 +117,10 @@ func FuzzChaskeyPermute(f *testing.F) {
 	})
 }
 
-// FuzzGift64Encrypt cross-checks the GIFT-64 scenario's packed and
-// scalar sampling paths and its bitsliced window path over
-// fuzzer-chosen seeds, rounds and window starts, and checks the
-// cipher's own round-trip for the same parameters.
+// FuzzGift64Encrypt cross-checks the GIFT-64 scenario's SampleBatch
+// and bitsliced window against the spec over fuzzer-chosen seeds,
+// rounds and window starts, and checks the cipher's own round-trip for
+// the same parameters.
 func FuzzGift64Encrypt(f *testing.F) {
 	f.Add(uint64(1), uint(4), uint(0))
 	f.Add(uint64(2), uint(28), uint(3))

@@ -8,11 +8,9 @@ import (
 	"repro/internal/prng"
 )
 
-// legacyDataset reconstructs what the pre-packing engine produced:
-// row j drawn from the positional substream prng.NewStream(base, j)
-// through the generic per-row Sample path. It is the reference the
-// packed fast paths (SampleBatch/SamplePair and the pairing engine)
-// must match bit for bit.
+// legacyDataset reconstructs a dataset row by row from the
+// specification reference: row j is specSample drawn from the
+// positional substream prng.NewStream(base, j).
 func legacyDataset(s Scenario, perClass int, seed uint64) ([][]float64, []int) {
 	t := s.Classes()
 	n := perClass * t
@@ -21,7 +19,7 @@ func legacyDataset(s Scenario, perClass int, seed uint64) ([][]float64, []int) {
 	y := make([]int, n)
 	for j := 0; j < n; j++ {
 		c := j % t
-		x[j] = s.Sample(prng.NewStream(base, uint64(j)), c)
+		x[j] = specSample(s, prng.NewStream(base, uint64(j)), c)
 		y[j] = c
 	}
 	return x, y
@@ -29,19 +27,17 @@ func legacyDataset(s Scenario, perClass int, seed uint64) ([][]float64, []int) {
 
 // TestPackedMatchesLegacySample: for every registered scenario family,
 // the packed engine's output — expanded back to floats — is identical
-// to the legacy per-row Sample reconstruction at workers 1, 4 and 7.
-// This is the byte-identity contract that lets the packed backing
-// store, the scenario fast paths and the pair kernels replace the
-// [][]float64 pipeline without moving a single sample.
+// to the row-by-row specification reference at workers 1, 4 and 7.
+// perClass is odd and large enough that the serial run covers a full
+// slice window plus per-row remainders, while 4 and 7 workers cut
+// shards too short for a window.
 func TestPackedMatchesLegacySample(t *testing.T) {
+	withParallelism(t, 8)
 	for _, s := range RegisteredScenarios() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
-			// Odd perClass so rows are odd and the pair path leaves a
-			// trailing single row in every shard arrangement. Kept small
-			// because trivium-576 samples are expensive.
-			const perClass = 11
+			const perClass = 131
 			const seed = 2020
 			wantX, wantY := legacyDataset(s, perClass, seed)
 			for _, workers := range []int{1, 4, 7} {
@@ -58,7 +54,7 @@ func TestPackedMatchesLegacySample(t *testing.T) {
 					row = d.Row(j, row)
 					for k, v := range row {
 						if v != wantX[j][k] {
-							t.Fatalf("workers=%d row %d bit %d: packed %v, legacy Sample %v",
+							t.Fatalf("workers=%d row %d bit %d: packed %v, spec %v",
 								workers, j, k, v, wantX[j][k])
 						}
 					}

@@ -68,40 +68,6 @@ func (s *GimliHashScenario) Classes() int { return len(s.Deltas) }
 // FeatureLen returns 128: the bits of the first digest half.
 func (s *GimliHashScenario) FeatureLen() int { return sponge.Rate * 8 }
 
-// Sample hashes a random message pair differing by δ_class and returns
-// the digest difference bits.
-func (s *GimliHashScenario) Sample(r *prng.Rand, class int) []float64 {
-	msg := r.Bytes(s.MsgLen)
-	h1 := sponge.RateAfterAbsorb(msg, s.Rounds)
-	bits.XOR(msg, msg, s.Deltas[class])
-	h2 := sponge.RateAfterAbsorb(msg, s.Rounds)
-	diff := bits.XORBytes(h1[:], h2[:])
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), diff)
-}
-
-// RandomSample returns a uniformly random 128-bit difference.
-func (s *GimliHashScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(sponge.Rate))
-}
-
-// statePair builds the two pre-permutation sponge states of one sample
-// (message and message ⊕ δ_class, both padded), drawing exactly the
-// bytes Sample draws.
-func (s *GimliHashScenario) statePair(r *prng.Rand, class int, a, b *gimli.State) {
-	var buf [sponge.Rate]byte
-	msg := buf[:s.MsgLen]
-	r.Fill(msg)
-	*a = gimli.State{}
-	a.XORBytes(msg)
-	a.XORByte(s.MsgLen, 0x01)
-	a.XORByte(gimli.StateBytes-1, 0x01)
-	bits.XOR(msg, msg, s.Deltas[class])
-	*b = gimli.State{}
-	b.XORBytes(msg)
-	b.XORByte(s.MsgLen, 0x01)
-	b.XORByte(gimli.StateBytes-1, 0x01)
-}
-
 // packRateDiff packs the 128-bit rate difference of two permuted states
 // straight from the state words: the rate serializes little-endian, and
 // the packed-row layout is little-endian bit order, so rate word w of
@@ -111,40 +77,22 @@ func packRateDiff(a, b *gimli.State, dst []uint64) {
 	dst[1] = uint64(a[2]^b[2]) | uint64(a[3]^b[3])<<32
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation.
+// SampleBatch hashes a random message pair differing by δ_class and
+// writes the difference of the first digest half. Both messages fit
+// one padded block, so each digest half is the rate of one permuted
+// state; the pair differs only by δ_class in the message bytes.
 func (s *GimliHashScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
-	var a, b gimli.State
-	s.statePair(r, class, &a, &b)
+	var msg [sponge.Rate]byte
+	r.Fill(msg[:s.MsgLen])
+	var a gimli.State
+	a.XORBytes(msg[:s.MsgLen])
+	a.XORByte(s.MsgLen, 0x01)
+	a.XORByte(gimli.StateBytes-1, 0x01)
+	b := a
+	b.XORBytes(s.Deltas[class])
 	gimli.PermuteRounds(&a, s.Rounds)
 	gimli.PermuteRounds(&b, s.Rounds)
 	packRateDiff(&a, &b, dst)
-}
-
-// SamplePair generates two samples at once. A sample is two permutation
-// states, so the pair's four independent states run through the
-// ×4-interleaved kernel.
-func (s *GimliHashScenario) SamplePair(r0, r1 *prng.Rand, class0, class1 int, dst0, dst1 []uint64) {
-	var a0, b0, a1, b1 gimli.State
-	s.statePair(r0, class0, &a0, &b0)
-	s.statePair(r1, class1, &a1, &b1)
-	gimli.PermuteRounds4(&a0, &b0, &a1, &b1, s.Rounds)
-	packRateDiff(&a0, &b0, dst0)
-	packRateDiff(&a1, &b1, dst1)
-}
-
-// SampleQuad generates four samples — eight independent states — in
-// one ×8-interleaved permutation pass.
-func (s *GimliHashScenario) SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64) {
-	var st [8]gimli.State
-	for k := 0; k < 4; k++ {
-		s.statePair(&r[k], class[k], &st[2*k], &st[2*k+1])
-	}
-	ptrs := [8]*gimli.State{&st[0], &st[1], &st[2], &st[3], &st[4], &st[5], &st[6], &st[7]}
-	gimli.PermuteRounds8(&ptrs, s.Rounds)
-	for k := 0; k < 4; k++ {
-		packRateDiff(&st[2*k], &st[2*k+1], dst[k])
-	}
 }
 
 // GimliCipherScenario is the Section 4 GIMLI-CIPHER experiment in the
@@ -199,69 +147,22 @@ func (s *GimliCipherScenario) Classes() int { return len(s.Deltas) }
 // FeatureLen returns 128: the bits of the first ciphertext block.
 func (s *GimliCipherScenario) FeatureLen() int { return duplex.Rate * 8 }
 
-// Sample returns the c0 difference bits for a random key and nonce
-// pair differing by δ_class.
-func (s *GimliCipherScenario) Sample(r *prng.Rand, class int) []float64 {
-	key := r.Bytes(duplex.KeySize)
-	nonce := r.Bytes(duplex.NonceSize)
-	c1 := duplex.InitRate(key, nonce, s.Rounds)
-	bits.XOR(nonce, nonce, s.Deltas[class])
-	c2 := duplex.InitRate(key, nonce, s.Rounds)
-	diff := bits.XORBytes(c1[:], c2[:])
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), diff)
-}
-
-// RandomSample returns a uniformly random 128-bit difference.
-func (s *GimliCipherScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(duplex.Rate))
-}
-
-// statePair builds the two pre-permutation duplex states of one sample
-// (nonce ‖ key and (nonce ⊕ δ_class) ‖ key), drawing key then nonce
-// exactly as Sample does. The post-permutation AD padding of InitRate
-// is a constant, so it cancels in the rate difference and is skipped.
-func (s *GimliCipherScenario) statePair(r *prng.Rand, class int, a, b *gimli.State) {
-	var buf [gimli.StateBytes]byte
-	r.Fill(buf[duplex.NonceSize:]) // key, drawn first in Sample
-	r.Fill(buf[:duplex.NonceSize]) // nonce
-	a.SetBytes(buf[:])
-	*b = *a
-	b.XORBytes(s.Deltas[class]) // 16 bytes: flips only the nonce part
-}
-
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation.
+// SampleBatch writes the c0 difference for a random key and a random
+// nonce pair differing by δ_class. The pre-permutation states are
+// nonce ‖ key and (nonce ⊕ δ_class) ‖ key; the post-permutation AD
+// padding of InitRate is a constant, so it cancels in the rate
+// difference and is skipped.
 func (s *GimliCipherScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
-	var a, b gimli.State
-	s.statePair(r, class, &a, &b)
+	var buf [gimli.StateBytes]byte
+	r.Fill(buf[duplex.NonceSize:]) // key, drawn first
+	r.Fill(buf[:duplex.NonceSize]) // nonce
+	var a gimli.State
+	a.SetBytes(buf[:])
+	b := a
+	b.XORBytes(s.Deltas[class]) // 16 bytes: flips only the nonce part
 	gimli.PermuteRounds(&a, s.Rounds)
 	gimli.PermuteRounds(&b, s.Rounds)
 	packRateDiff(&a, &b, dst)
-}
-
-// SamplePair generates two samples at once through the ×4-interleaved
-// permutation kernel.
-func (s *GimliCipherScenario) SamplePair(r0, r1 *prng.Rand, class0, class1 int, dst0, dst1 []uint64) {
-	var a0, b0, a1, b1 gimli.State
-	s.statePair(r0, class0, &a0, &b0)
-	s.statePair(r1, class1, &a1, &b1)
-	gimli.PermuteRounds4(&a0, &b0, &a1, &b1, s.Rounds)
-	packRateDiff(&a0, &b0, dst0)
-	packRateDiff(&a1, &b1, dst1)
-}
-
-// SampleQuad generates four samples — eight independent states — in
-// one ×8-interleaved permutation pass.
-func (s *GimliCipherScenario) SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64) {
-	var st [8]gimli.State
-	for k := 0; k < 4; k++ {
-		s.statePair(&r[k], class[k], &st[2*k], &st[2*k+1])
-	}
-	ptrs := [8]*gimli.State{&st[0], &st[1], &st[2], &st[3], &st[4], &st[5], &st[6], &st[7]}
-	gimli.PermuteRounds8(&ptrs, s.Rounds)
-	for k := 0; k < 4; k++ {
-		packRateDiff(&st[2*k], &st[2*k+1], dst[k])
-	}
 }
 
 // SpeckScenario is the Gohr-style baseline of Section 2.3 transplanted
@@ -294,30 +195,10 @@ func (s *SpeckScenario) Classes() int { return 2 }
 // FeatureLen returns 32: one block difference.
 func (s *SpeckScenario) FeatureLen() int { return 32 }
 
-// Sample returns a real output difference for class 1 and a random
-// 32-bit difference for class 0.
-func (s *SpeckScenario) Sample(r *prng.Rand, class int) []float64 {
-	if class == 0 {
-		return s.RandomSample(r)
-	}
-	c := speck.New([4]uint16{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()})
-	p := speck.Block{X: r.Uint16(), Y: r.Uint16()}
-	d := c.EncryptRounds(p, s.Rounds).XOR(c.EncryptRounds(p.XOR(s.Delta), s.Rounds))
-	return bits.ToFloats(make([]float64, 0, 32), d.Bytes())
-}
-
-// RandomSample returns a uniformly random 32-bit difference.
-func (s *SpeckScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
-}
-
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation. Class 1 re-keys a stack Cipher and encrypts the
-// plaintext pair in one interleaved pass; class 0's four random bytes
-// are the low half of one generator output, exactly as Bytes(4) lays
-// them out. SPECK does not implement PairScenario: at t = 2 every even
-// row is a class-0 random sample, so cross-sample pairing would never
-// pair two encryptions.
+// SampleBatch writes a real output difference for class 1 (fresh
+// random key, random plaintext P, encryptions of P and P ⊕ Delta) and a
+// uniformly random 32-bit difference — the low half of one generator
+// output — for class 0.
 func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		dst[0] = r.Uint64() & 0xffffffff
@@ -326,8 +207,7 @@ func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	var c speck.Cipher
 	c.Expand([4]uint16{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()})
 	p := speck.Block{X: r.Uint16(), Y: r.Uint16()}
-	a, b := c.EncryptPairRounds(p, p.XOR(s.Delta), s.Rounds)
-	d := a.XOR(b)
+	d := c.EncryptRounds(p, s.Rounds).XOR(c.EncryptRounds(p.XOR(s.Delta), s.Rounds))
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
@@ -377,12 +257,8 @@ func (s *SpeckScenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, dst
 	}
 }
 
-// Compile-time checks that the packed fast paths stay wired up.
-var (
-	_ QuadScenario  = (*GimliHashScenario)(nil)
-	_ QuadScenario  = (*GimliCipherScenario)(nil)
-	_ SliceScenario = (*SpeckScenario)(nil)
-)
+// Compile-time check that the bitsliced window stays wired up.
+var _ SliceScenario = (*SpeckScenario)(nil)
 
 // FuncScenario adapts an arbitrary fixed-input-length function to a
 // Scenario: differences are injected into the input of f and the
@@ -427,8 +303,9 @@ func (s *FuncScenario) Classes() int { return len(s.DeltaIn) }
 // FeatureLen returns the output length in bits.
 func (s *FuncScenario) FeatureLen() int { return s.OutLen * 8 }
 
-// Sample evaluates f on a random input pair differing by δ_class.
-func (s *FuncScenario) Sample(r *prng.Rand, class int) []float64 {
+// SampleBatch evaluates f on a random input pair differing by δ_class
+// and packs the output difference.
+func (s *FuncScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	p := r.Bytes(s.InLen)
 	y1 := s.F(p)
 	bits.XOR(p, p, s.DeltaIn[class])
@@ -436,10 +313,5 @@ func (s *FuncScenario) Sample(r *prng.Rand, class int) []float64 {
 	if len(y1) != s.OutLen || len(y2) != s.OutLen {
 		panic(fmt.Sprintf("core: scenario %q function returned %d/%d bytes, want %d", s.Label, len(y1), len(y2), s.OutLen))
 	}
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), bits.XORBytes(y1, y2))
-}
-
-// RandomSample returns a uniformly random output difference.
-func (s *FuncScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(s.OutLen))
+	bits.PackBytes(dst, bits.XORBytes(y1, y2))
 }

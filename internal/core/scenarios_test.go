@@ -17,7 +17,7 @@ func TestGimliHashScenarioShape(t *testing.T) {
 	}
 	r := prng.New(1)
 	for c := 0; c < 2; c++ {
-		x := s.Sample(r, c)
+		x := Sample(s, r, c)
 		if len(x) != 128 {
 			t.Fatalf("sample length %d", len(x))
 		}
@@ -27,7 +27,7 @@ func TestGimliHashScenarioShape(t *testing.T) {
 			}
 		}
 	}
-	if len(s.RandomSample(r)) != 128 {
+	if len(RandomSample(s, r)) != 128 {
 		t.Fatal("random sample wrong length")
 	}
 }
@@ -65,7 +65,7 @@ func TestGimliCipherScenarioShape(t *testing.T) {
 		t.Fatalf("name = %q", s.Name())
 	}
 	r := prng.New(2)
-	x := s.Sample(r, 1)
+	x := Sample(s, r, 1)
 	if len(x) != 128 {
 		t.Fatalf("sample length %d", len(x))
 	}
@@ -98,7 +98,7 @@ func TestScenarioSamplesAreClassDependent(t *testing.T) {
 	mean := func(class int) []float64 {
 		acc := make([]float64, s.FeatureLen())
 		for i := 0; i < n; i++ {
-			for j, v := range s.Sample(r, class) {
+			for j, v := range Sample(s, r, class) {
 				acc[j] += v
 			}
 		}
@@ -128,7 +128,7 @@ func TestRandomSampleIsBalanced(t *testing.T) {
 	r := prng.New(4)
 	ones, total := 0, 0
 	for i := 0; i < 200; i++ {
-		for _, v := range s.RandomSample(r) {
+		for _, v := range RandomSample(s, r) {
 			if v == 1 {
 				ones++
 			}
@@ -150,7 +150,7 @@ func TestSpeckScenario(t *testing.T) {
 		t.Fatalf("shape %d/%d", s.FeatureLen(), s.Classes())
 	}
 	r := prng.New(5)
-	if got := len(s.Sample(r, 1)); got != 32 {
+	if got := len(Sample(s, r, 1)); got != 32 {
 		t.Fatalf("sample length %d", got)
 	}
 	if _, err := NewSpeckScenario(0); err == nil {
@@ -173,11 +173,11 @@ func TestFuncScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := prng.New(6)
-	x0 := s.Sample(r, 0)
+	x0 := Sample(s, r, 0)
 	if x0[0] != 1 || x0[31] != 0 {
 		t.Fatalf("identity class-0 diff wrong: %v", x0)
 	}
-	x1 := s.Sample(r, 1)
+	x1 := Sample(s, r, 1)
 	if x1[0] != 0 || x1[24] != 1 {
 		t.Fatalf("identity class-1 diff wrong: %v", x1)
 	}
@@ -207,7 +207,7 @@ func TestFuncScenarioPanicsOnBadOutputLen(t *testing.T) {
 			t.Fatal("short output accepted")
 		}
 	}()
-	s.Sample(prng.New(1), 0)
+	Sample(s, prng.New(1), 0)
 }
 
 func TestMultiClassScenario(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/prng"
 	"repro/internal/testkit"
 )
 
@@ -30,7 +31,7 @@ type negativeLayout struct {
 func (negativeLayout) DrawWords(int) int { return -1 }
 
 // TestCheckScenarioRejectsWrongLayout: a related-key scenario whose
-// DrawWords disagrees with what Sample actually consumes must fail
+// DrawWords disagrees with what SampleBatch actually consumes must fail
 // conformance, and the report must name the declared layout.
 func TestCheckScenarioRejectsWrongLayout(t *testing.T) {
 	s, err := core.NewScenarioByName("simon-rk", 10)
@@ -69,5 +70,40 @@ func TestCheckScenarioRejectsWrongLayout(t *testing.T) {
 	neg := &testkit.Recorder{}
 	if f := testkit.CheckScenario(neg, negativeLayout{rk}, testkit.Config{Count: 40}); f == nil {
 		t.Fatal("negative DrawWords passed conformance")
+	}
+}
+
+// orDst ORs its sample into dst instead of overwriting it.
+type orDst struct{ core.Scenario }
+
+func (o orDst) SampleBatch(r *prng.Rand, class int, dst []uint64) {
+	tmp := make([]uint64, len(dst))
+	o.Scenario.SampleBatch(r, class, tmp)
+	for i := range dst {
+		dst[i] |= tmp[i]
+	}
+}
+
+// tailBits sets a bit past FeatureLen in the last packed word.
+type tailBits struct{ core.Scenario }
+
+func (s tailBits) SampleBatch(r *prng.Rand, class int, dst []uint64) {
+	s.Scenario.SampleBatch(r, class, dst)
+	dst[len(dst)-1] |= 1 << 63
+}
+
+// TestCheckScenarioRejectsBadWrites: a SampleBatch that leaves stale
+// dst bits behind, or sets bits past FeatureLen, must fail conformance
+// even though its float expansion still looks valid.
+func TestCheckScenarioRejectsBadWrites(t *testing.T) {
+	s, err := core.NewScenarioByName("speck", 7) // 32 feature bits: the tail is non-empty
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]core.Scenario{"or-into-dst": orDst{s}, "tail-bits": tailBits{s}} {
+		rec := &testkit.Recorder{}
+		if f := testkit.CheckScenario(rec, bad, testkit.Config{Count: 20}); f == nil {
+			t.Errorf("%s: passed conformance", name)
+		}
 	}
 }

@@ -43,35 +43,10 @@ func (s *Gift64Scenario) Classes() int { return 2 }
 // FeatureLen returns 64.
 func (s *Gift64Scenario) FeatureLen() int { return 64 }
 
-func uint64Bits(v uint64) []float64 {
-	out := make([]float64, 64)
-	for i := range out {
-		out[i] = float64(v >> i & 1)
-	}
-	return out
-}
-
-// Sample returns a real output difference for class 1 and a random
-// difference for class 0.
-func (s *Gift64Scenario) Sample(r *prng.Rand, class int) []float64 {
-	if class == 0 {
-		return s.RandomSample(r)
-	}
-	c := gift.NewCipher64([8]uint16{
-		r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16(),
-		r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16(),
-	})
-	p := r.Uint64()
-	return uint64Bits(c.EncryptRounds(p, s.Rounds) ^ c.EncryptRounds(p^s.Delta, s.Rounds))
-}
-
-// RandomSample returns a uniform 64-bit difference.
-func (s *Gift64Scenario) RandomSample(r *prng.Rand) []float64 { return uint64Bits(r.Uint64()) }
-
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation. The 64 feature bits of uint64Bits are exactly the
-// packed-row layout, so the state difference is the row word; class 1
-// re-keys one stack cipher via the in-place Expand.
+// SampleBatch writes a real output difference for class 1 (fresh
+// random key, random plaintext P, encryptions of P and P ⊕ Delta) and a
+// uniformly random 64-bit difference for class 0. Feature bit i is bit
+// i of the difference, so the difference is the row word.
 func (s *Gift64Scenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		dst[0] = r.Uint64()
@@ -126,11 +101,8 @@ func (s *Gift64Scenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, ds
 	}
 }
 
-// Compile-time check that the packed fast path stays wired up.
-var (
-	_ BatchScenario = (*Gift64Scenario)(nil)
-	_ SliceScenario = (*Gift64Scenario)(nil)
-)
+// Compile-time check that the bitsliced window stays wired up.
+var _ SliceScenario = (*Gift64Scenario)(nil)
 
 // NewSalsaScenario builds a t = 2 scenario over the round-reduced
 // Salsa20 core: the two input differences flip the least significant
@@ -185,9 +157,9 @@ func (s *TriviumScenario) Classes() int { return len(s.Deltas) }
 // FeatureLen returns the keystream prefix length in bits.
 func (s *TriviumScenario) FeatureLen() int { return s.PrefixLen * 8 }
 
-// Sample returns the keystream-prefix difference for an IV pair
+// SampleBatch writes the keystream-prefix difference for an IV pair
 // differing by δ_class under a fresh random key.
-func (s *TriviumScenario) Sample(r *prng.Rand, class int) []float64 {
+func (s *TriviumScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	key := r.Bytes(trivium.KeyBytes)
 	iv := r.Bytes(trivium.IVBytes)
 	a, err := trivium.Prefix(key, iv, s.InitClocks, s.PrefixLen)
@@ -199,10 +171,5 @@ func (s *TriviumScenario) Sample(r *prng.Rand, class int) []float64 {
 	if err != nil {
 		panic(fmt.Sprintf("core: trivium sample: %v", err))
 	}
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), bits.XORBytes(a, b))
-}
-
-// RandomSample returns a uniform keystream-prefix difference.
-func (s *TriviumScenario) RandomSample(r *prng.Rand) []float64 {
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(s.PrefixLen))
+	bits.PackBytes(dst, bits.XORBytes(a, b))
 }

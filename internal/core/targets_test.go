@@ -15,7 +15,7 @@ func TestGift64ScenarioShape(t *testing.T) {
 		t.Fatalf("shape %d/%d", s.FeatureLen(), s.Classes())
 	}
 	r := prng.New(1)
-	if len(s.Sample(r, 1)) != 64 || len(s.RandomSample(r)) != 64 {
+	if len(Sample(s, r, 1)) != 64 || len(RandomSample(s, r)) != 64 {
 		t.Fatal("sample lengths wrong")
 	}
 	if _, err := NewGift64Scenario(0); err == nil {

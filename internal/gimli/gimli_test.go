@@ -294,6 +294,25 @@ func BenchmarkPermute8Rounds(b *testing.B) {
 	}
 }
 
+// BenchmarkPermuteRounds is the dataset sampler's permutation load at
+// the paper's 8-round budget: four states (two differential samples)
+// permuted one at a time.
+func BenchmarkPermuteRounds(b *testing.B) {
+	var s [4]State
+	for i := range s {
+		for w := range s[i] {
+			s[i][w] = uint32(17*i + w + 1)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := range s {
+			PermuteRounds(&s[j], 8)
+		}
+	}
+	b.ReportMetric(4, "states/op")
+}
+
 func BenchmarkInversePermute(b *testing.B) {
 	var s State
 	b.SetBytes(StateBytes)

@@ -48,7 +48,7 @@ func TestFillBitsMatchesScenarioEncoding(t *testing.T) {
 	s, _ := core.NewSpeckScenario(3)
 	// Reproduce one real sample and re-encode its difference manually.
 	r1 := prng.New(9)
-	want := s.Sample(r1, 1)
+	want := core.Sample(s, r1, 1)
 
 	r2 := prng.New(9)
 	c := speck.New([4]uint16{r2.Uint16(), r2.Uint16(), r2.Uint16(), r2.Uint16()})

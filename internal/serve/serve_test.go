@@ -76,7 +76,7 @@ func sampleRows(d *core.Distinguisher, seed uint64, n int) ([][]float64, []int) 
 	t := d.Scenario.Classes()
 	for i := range rows {
 		labels[i] = i % t
-		rows[i] = d.Scenario.Sample(r, labels[i])
+		rows[i] = core.Sample(d.Scenario, r, labels[i])
 	}
 	return rows, labels
 }
@@ -200,7 +200,7 @@ func TestDistinguishCipherAndRandom(t *testing.T) {
 	r := prng.New(512)
 	rnd := make([][]float64, 256)
 	for i := range rnd {
-		rnd[i] = d.Scenario.RandomSample(r)
+		rnd[i] = core.RandomSample(d.Scenario, r)
 	}
 	if got := check(rnd, labels); got.Verdict != "RANDOM" {
 		t.Fatalf("random oracle verdict = %s, want RANDOM", got.Verdict)
@@ -393,6 +393,8 @@ func TestRequestValidation(t *testing.T) {
 		{"bad hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: []string{"zz"}}, http.StatusBadRequest},
 		{"short hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: []string{"00"}}, http.StatusBadRequest},
 		{"oversize", "/v1/classify", classifyRequest{Model: "speck4", Rows: manyRows(d, 33)}, http.StatusRequestEntityTooLarge},
+		{"oversize body", "/v1/classify", classifyRequest{Model: strings.Repeat("m", 17<<20), Rows: rows}, http.StatusRequestEntityTooLarge},
+		{"oversize before row checks", "/v1/classify", classifyRequest{Model: "speck4", Hex: append(manyHex(32), "zz")}, http.StatusRequestEntityTooLarge},
 		{"label count", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: labels[:2]}, http.StatusBadRequest},
 		{"label range", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: []int{0, 1, 2, 1}}, http.StatusBadRequest},
 		{"load missing fields", "/models", map[string]string{"name": "x"}, http.StatusBadRequest},
@@ -422,6 +424,15 @@ func TestRequestValidation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// manyHex returns n well-formed 32-bit hex rows.
+func manyHex(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "00000000"
+	}
+	return out
 }
 
 func manyRows(d *core.Distinguisher, n int) [][]float64 {

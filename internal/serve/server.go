@@ -201,6 +201,28 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBody bounds request bodies, the same 16 MiB cap the cluster
+// router applies. Replicas are directly reachable, so they enforce it
+// themselves rather than trusting a router in front.
+const maxBody = 16 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBody bytes. On error it writes the response itself — 413 for an
+// oversized body, 400 for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	}
+	return false
+}
+
 // --- handlers ---
 
 // decodeRows parses and validates the request body, resolves the
@@ -208,8 +230,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // it writes the response itself and returns ok=false.
 func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *classifyRequest, [][]float64, bool) {
 	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return nil, nil, nil, false
 	}
 	entry, ok := s.reg.Get(req.Model)
@@ -219,6 +240,11 @@ func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *cl
 	}
 	if (len(req.Rows) == 0) == (len(req.Hex) == 0) {
 		writeError(w, http.StatusBadRequest, "exactly one of rows or hex must be non-empty")
+		return nil, nil, nil, false
+	}
+	if n := len(req.Rows) + len(req.Hex); n > s.sched.MaxBatch() {
+		writeError(w, http.StatusRequestEntityTooLarge, "request has %d rows, max %d per request (split the batch)",
+			n, s.sched.MaxBatch())
 		return nil, nil, nil, false
 	}
 	featLen := entry.FeatureLen()
@@ -247,11 +273,6 @@ func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *cl
 				return nil, nil, nil, false
 			}
 		}
-	}
-	if len(rows) > s.sched.MaxBatch() {
-		writeError(w, http.StatusRequestEntityTooLarge, "request has %d rows, max %d per request (split the batch)",
-			len(rows), s.sched.MaxBatch())
-		return nil, nil, nil, false
 	}
 	return entry, &req, rows, true
 }
@@ -449,8 +470,7 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

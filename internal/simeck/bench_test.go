@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkSimeckEncrypt measures the sampler's hot loop at the
-// registered 8-round depth: re-key from scratch, then the scalar pair
-// of encryptions versus the interleaved pair path versus the
-// cross-key (related-key) pair path.
+// registered 8-round depth — re-key from scratch, then two scalar
+// encryptions — against the ×64 bitsliced single-key and related-key
+// kernels.
 func BenchmarkSimeckEncrypt(b *testing.B) {
 	key := simeck.Key{0x1918, 0x1110, 0x0908, 0x0100}
 	p := simeck.Block{X: 0x6565, Y: 0x6877}
@@ -23,32 +23,9 @@ func BenchmarkSimeckEncrypt(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("pair", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink simeck.Block
-		for i := 0; i < b.N; i++ {
-			var c simeck.Cipher
-			c.Expand(key)
-			x, y := c.EncryptPairRounds(p, p.XOR(simeck.NDDelta), 8)
-			sink = x.XOR(y)
-		}
-		_ = sink
-	})
-	b.Run("cross-key", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink simeck.Block
-		for i := 0; i < b.N; i++ {
-			var ca, cb simeck.Cipher
-			ca.Expand(key)
-			cb.Expand(key.XOR(simeck.LuKeyDelta))
-			x, y := simeck.EncryptCrossPairRounds(&ca, &cb, p, p.XOR(simeck.NDDelta), 12)
-			sink = x.XOR(y)
-		}
-		_ = sink
-	})
 	// The ×64 bitsliced kernels amortise schedule and rounds across 64
 	// lanes; ns/op here covers 64 difference pairs, so divide by 64 to
-	// compare against the scalar paths above.
+	// compare against the scalar loop above.
 	var keys [64]uint64
 	var pts [64]uint32
 	for l := 0; l < 64; l++ {

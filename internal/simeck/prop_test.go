@@ -52,23 +52,3 @@ func TestExpandMatchesNew(t *testing.T) {
 		return nil
 	})
 }
-
-// TestPairMatchesScalar: the interleaved pair paths are bit-identical
-// to two scalar EncryptRounds calls, including the cross-key variant
-// the related-key sampler uses.
-func TestPairMatchesScalar(t *testing.T) {
-	testkit.Check(t, "simeck-pair-vs-scalar", testkit.SimeckCases(), func(c testkit.SimeckCase) error {
-		ci := simeck.New(c.Key)
-		other := simeck.Block{X: ^c.Block.X, Y: c.Block.Y ^ 0x0002}
-		a, b := ci.EncryptPairRounds(c.Block, other, c.Rounds)
-		if a != ci.EncryptRounds(c.Block, c.Rounds) || b != ci.EncryptRounds(other, c.Rounds) {
-			return fmt.Errorf("pair path diverges over %d rounds", c.Rounds)
-		}
-		cj := simeck.New(c.Key.XOR(simeck.LuKeyDelta))
-		a, b = simeck.EncryptCrossPairRounds(ci, cj, c.Block, other, c.Rounds)
-		if a != ci.EncryptRounds(c.Block, c.Rounds) || b != cj.EncryptRounds(other, c.Rounds) {
-			return fmt.Errorf("cross-key pair path diverges over %d rounds", c.Rounds)
-		}
-		return nil
-	})
-}

@@ -152,32 +152,6 @@ func (c *Cipher) DecryptRounds(b Block, n int) Block {
 	return Block{x, y}
 }
 
-// EncryptPairRounds encrypts two independent blocks under the same key
-// through the first n rounds in one interleaved pass, bit-identical to
-// two EncryptRounds calls (see speck.EncryptPairRounds for the ILP
-// rationale).
-func (c *Cipher) EncryptPairRounds(a, b Block, n int) (Block, Block) {
-	return EncryptCrossPairRounds(c, c, a, b, n)
-}
-
-// EncryptCrossPairRounds encrypts a under ca and b under cb through the
-// first n rounds in one interleaved pass, bit-identical to two
-// EncryptRounds calls. Related-key samplers encrypt (P, P ⊕ δ) under
-// (K, K ⊕ ∇), so the two chains carry distinct round keys; ca == cb
-// degenerates to the single-key pair path.
-func EncryptCrossPairRounds(ca, cb *Cipher, a, b Block, n int) (Block, Block) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("simeck: invalid round count %d", n))
-	}
-	ax, ay := a.X, a.Y
-	bx, by := b.X, b.Y
-	for i := 0; i < n; i++ {
-		ax, ay = ay^f(ax)^ca.rk[i], ax
-		bx, by = by^f(bx)^cb.rk[i], bx
-	}
-	return Block{ax, ay}, Block{bx, by}
-}
-
 // NDDelta is the input difference (0x0000, 0x0002) standard in the
 // neural-distinguisher literature on SIMECK-32/64: a single-bit
 // difference in the right word, which the first round moves into the

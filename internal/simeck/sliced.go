@@ -51,9 +51,8 @@ func EncryptDiffSliced64(keyRows *[64]uint64, ptRows *[64]uint32, delta Block, n
 
 // EncryptCrossDiffSliced64 is the related-key variant: lane l's second
 // state is encrypted under K[l] ⊕ keyDelta, with a full second schedule
-// chain derived from the complemented key planes — the sliced form of
-// EncryptCrossPairRounds. keyDelta zero degenerates to the single-key
-// kernel (one shared schedule chain).
+// chain derived from the complemented key planes. keyDelta zero
+// degenerates to the single-key kernel (one shared schedule chain).
 func EncryptCrossDiffSliced64(keyRows *[64]uint64, keyDelta Key, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
 	if n < 0 || n > Rounds {
 		panic(fmt.Sprintf("simeck: invalid round count %d", n))

@@ -53,23 +53,3 @@ func TestExpandMatchesNew(t *testing.T) {
 		return nil
 	})
 }
-
-// TestPairMatchesScalar: the interleaved pair paths are bit-identical
-// to two scalar EncryptRounds calls, including the cross-key variant
-// the related-key sampler uses.
-func TestPairMatchesScalar(t *testing.T) {
-	testkit.Check(t, "simon-pair-vs-scalar", testkit.SimonCases(), func(c testkit.SimonCase) error {
-		ci := simon.New(c.Key)
-		other := simon.Block{X: ^c.Block.X, Y: c.Block.Y ^ 0x0040}
-		a, b := ci.EncryptPairRounds(c.Block, other, c.Rounds)
-		if a != ci.EncryptRounds(c.Block, c.Rounds) || b != ci.EncryptRounds(other, c.Rounds) {
-			return fmt.Errorf("pair path diverges over %d rounds", c.Rounds)
-		}
-		cj := simon.New(c.Key.XOR(simon.LuKeyDelta))
-		a, b = simon.EncryptCrossPairRounds(ci, cj, c.Block, other, c.Rounds)
-		if a != ci.EncryptRounds(c.Block, c.Rounds) || b != cj.EncryptRounds(other, c.Rounds) {
-			return fmt.Errorf("cross-key pair path diverges over %d rounds", c.Rounds)
-		}
-		return nil
-	})
-}

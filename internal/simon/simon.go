@@ -150,34 +150,6 @@ func (c *Cipher) DecryptRounds(b Block, n int) Block {
 	return Block{x, y}
 }
 
-// EncryptPairRounds encrypts two independent blocks under the same key
-// through the first n rounds in one interleaved pass, bit-identical to
-// two EncryptRounds calls. The differential sampler always encrypts a
-// plaintext pair (P, P ⊕ Δ) per sample, and the two AND-RX chains are
-// independent, so interleaving them doubles the instruction-level
-// parallelism of the hot loop.
-func (c *Cipher) EncryptPairRounds(a, b Block, n int) (Block, Block) {
-	return EncryptCrossPairRounds(c, c, a, b, n)
-}
-
-// EncryptCrossPairRounds encrypts a under ca and b under cb through the
-// first n rounds in one interleaved pass, bit-identical to two
-// EncryptRounds calls. Related-key samplers encrypt (P, P ⊕ δ) under
-// (K, K ⊕ ∇), so the two chains carry distinct round keys; ca == cb
-// degenerates to the single-key pair path.
-func EncryptCrossPairRounds(ca, cb *Cipher, a, b Block, n int) (Block, Block) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("simon: invalid round count %d", n))
-	}
-	ax, ay := a.X, a.Y
-	bx, by := b.X, b.Y
-	for i := 0; i < n; i++ {
-		ax, ay = ay^f(ax)^ca.rk[i], ax
-		bx, by = by^f(bx)^cb.rk[i], bx
-	}
-	return Block{ax, ay}, Block{bx, by}
-}
-
 // NDDelta is the input difference (0x0000, 0x0040) standard in the
 // neural-distinguisher literature on SIMON-32/64: a single-bit
 // difference in the right word, which the first round moves into the

@@ -13,8 +13,8 @@ package simon
 // as a four-slot ring over the transposed key matrix, with the constant
 // 0xfffc ⊕ z0 a branchless plane complement. Both kernels are
 // bit-identical to the scalar path by construction; sliced_test.go
-// pins lane-for-lane equality against EncryptCrossPairRounds for every
-// round count, difference and key difference.
+// pins lane-for-lane equality against two scalar EncryptRounds calls
+// for every round count, difference and key difference.
 
 import (
 	"fmt"
@@ -54,9 +54,8 @@ func EncryptDiffSliced64(keyRows *[64]uint64, ptRows *[64]uint32, delta Block, n
 
 // EncryptCrossDiffSliced64 is the related-key variant: lane l's second
 // state is encrypted under K[l] ⊕ keyDelta, with a full second schedule
-// chain derived from the complemented key planes — the sliced form of
-// EncryptCrossPairRounds. keyDelta zero degenerates to the single-key
-// kernel (one shared schedule chain).
+// chain derived from the complemented key planes. keyDelta zero
+// degenerates to the single-key kernel (one shared schedule chain).
 func EncryptCrossDiffSliced64(keyRows *[64]uint64, keyDelta Key, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
 	if n < 0 || n > Rounds {
 		panic(fmt.Sprintf("simon: invalid round count %d", n))

@@ -71,19 +71,19 @@ func slicedCases() testkit.Gen[slicedCase] {
 	}
 }
 
-// scalarDiff is the oracle: the per-lane output difference through the
-// scalar cross-key pair path, in the packed X ‖ Y<<16 row layout.
+// scalarDiff is the oracle: the per-lane output difference of two
+// scalar EncryptRounds calls under K and K ⊕ keyD, in the packed
+// X ‖ Y<<16 row layout.
 func scalarDiff(k simon.Key, p simon.Block, delta simon.Block, keyD simon.Key, rounds int) uint32 {
 	var ca, cb simon.Cipher
 	ca.Expand(k)
 	cb.Expand(k.XOR(keyD))
-	a, b := simon.EncryptCrossPairRounds(&ca, &cb, p, p.XOR(delta), rounds)
-	d := a.XOR(b)
+	d := ca.EncryptRounds(p, rounds).XOR(cb.EncryptRounds(p.XOR(delta), rounds))
 	return uint32(d.X) | uint32(d.Y)<<16
 }
 
 // TestEncryptDiffSliced64 pins the single-key kernel lane for lane
-// against the scalar pair path.
+// against the scalar oracle.
 func TestEncryptDiffSliced64(t *testing.T) {
 	testkit.Check(t, "simon-sliced-diff", slicedCases(), func(c slicedCase) error {
 		var keyRows [64]uint64
@@ -105,7 +105,7 @@ func TestEncryptDiffSliced64(t *testing.T) {
 }
 
 // TestEncryptCrossDiffSliced64 pins the related-key kernel — two full
-// schedule chains — against the scalar cross-key pair path, including
+// schedule chains — against the scalar oracle under K ⊕ ∇, including
 // the ∇ = 0 degeneration.
 func TestEncryptCrossDiffSliced64(t *testing.T) {
 	testkit.Check(t, "simon-sliced-cross-diff", slicedCases(), func(c slicedCase) error {

@@ -131,28 +131,6 @@ func (c *Cipher) EncryptRounds(b Block, n int) Block {
 	return b
 }
 
-// EncryptPairRounds encrypts two independent blocks under the same key
-// through the first n rounds in one interleaved pass, bit-identical to
-// two EncryptRounds calls. The differential sampler always encrypts a
-// plaintext pair (P, P ⊕ Δ) per sample, and the two ARX chains are
-// independent, so interleaving them doubles the instruction-level
-// parallelism of the hot loop.
-func (c *Cipher) EncryptPairRounds(a, b Block, n int) (Block, Block) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("speck: invalid round count %d", n))
-	}
-	ax, ay := a.X, a.Y
-	bx, by := b.X, b.Y
-	for i := 0; i < n; i++ {
-		k := c.rk[i]
-		ax = (bits.RotR16(ax, alpha) + ay) ^ k
-		bx = (bits.RotR16(bx, alpha) + by) ^ k
-		ay = bits.RotL16(ay, beta) ^ ax
-		by = bits.RotL16(by, beta) ^ bx
-	}
-	return Block{ax, ay}, Block{bx, by}
-}
-
 // DecryptRounds inverts EncryptRounds.
 func (c *Cipher) DecryptRounds(b Block, n int) Block {
 	if n < 0 || n > Rounds {

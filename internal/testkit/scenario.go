@@ -9,22 +9,20 @@ import (
 )
 
 // ScenarioDraw is one sampled evaluation of a core.Scenario: which
-// class to sample (Classes() selects RandomSample) and the PRNG seed
-// the sample is drawn under.
+// class to sample and the PRNG seed the sample is drawn under.
 type ScenarioDraw struct {
 	Class int
 	Seed  uint64
 }
 
-// ScenarioDraws generates draws covering every class of s plus the
-// random baseline. Shrinking lowers the class index and zeroes seed
-// bits, so a contract violation reports the smallest class and seed
-// that trigger it.
+// ScenarioDraws generates draws covering every class of s. Shrinking
+// lowers the class index and zeroes seed bits, so a contract violation
+// reports the smallest class and seed that trigger it.
 func ScenarioDraws(s core.Scenario) Gen[ScenarioDraw] {
 	return Gen[ScenarioDraw]{
 		Name: fmt.Sprintf("draw(%s)", s.Name()),
 		Generate: func(r *prng.Rand) ScenarioDraw {
-			return ScenarioDraw{Class: r.Intn(s.Classes() + 1), Seed: r.Uint64()}
+			return ScenarioDraw{Class: r.Intn(s.Classes()), Seed: r.Uint64()}
 		},
 		Shrink: func(v ScenarioDraw) []ScenarioDraw {
 			var out []ScenarioDraw
@@ -43,64 +41,52 @@ func ScenarioDraws(s core.Scenario) Gen[ScenarioDraw] {
 }
 
 // CheckScenario verifies the core.Scenario contract for s under the
-// property runner: Sample and RandomSample must return feature vectors
-// of exactly FeatureLen entries, every entry in {0, 1}. The draw with
-// Class == Classes() exercises RandomSample; the sample itself is
-// drawn from prng.NewStream(draw.Seed, 0) so failures replay from the
-// printed counterexample.
+// property runner. Every draw is taken from prng.NewStream(draw.Seed, 0)
+// so failures replay from the printed counterexample.
 //
-// When s also implements core.BatchScenario, its packed SampleBatch
-// fast path is held to that interface's contract on every class draw:
-// from an identical generator it must produce exactly the bits of
-// Sample, consume exactly as much generator state, and leave the
-// trailing bits of the last packed word zero.
+// SampleBatch is called twice from identical generators, once into a
+// zeroed and once into an all-ones dst: the two outputs must agree (dst
+// is fully overwritten and SampleBatch is a deterministic function of
+// its generator), the bits past FeatureLen in the last word must be
+// zero, and both calls must consume the same generator state. The float
+// views core.Sample and core.RandomSample derive from SampleBatch and
+// the generator alone, so they need no check of their own.
+//
+// Whether the sampled bits are the right ones is not a property this
+// check can see; the package tests of internal/core compare every
+// scenario's sampler against a specification reference built from the
+// cipher packages' scalar API.
 //
 // When s also implements core.RelatedKeyScenario, its declared
-// generator layout is audited on every class draw: Sample must consume
+// generator layout is audited on every draw: SampleBatch must consume
 // exactly DrawWords(class) 64-bit outputs, so a related-key path that
 // draws its key or plaintext words differently from its specification
-// fails conformance even though the two sampling paths agree with each
-// other.
+// fails conformance.
 func CheckScenario(t T, s core.Scenario, cfg Config) *Failure[ScenarioDraw] {
 	t.Helper()
-	bs, _ := s.(core.BatchScenario)
 	rk, _ := s.(core.RelatedKeyScenario)
-	words := bits.PackedWords(s.FeatureLen())
-	packed := make([]uint64, words)
-	want := make([]uint64, words)
+	n := s.FeatureLen()
+	clean := make([]uint64, bits.PackedWords(n))
+	dirty := make([]uint64, len(clean))
 	prop := func(d ScenarioDraw) error {
 		r := prng.NewStream(d.Seed, 0)
-		var vec []float64
-		if d.Class == s.Classes() {
-			vec = s.RandomSample(r)
-		} else {
-			vec = s.Sample(r, d.Class)
-		}
-		if len(vec) != s.FeatureLen() {
-			return fmt.Errorf("feature vector has %d entries, FeatureLen is %d", len(vec), s.FeatureLen())
-		}
-		for i, x := range vec {
-			if x != 0 && x != 1 {
-				return fmt.Errorf("feature %d is %v, want 0 or 1", i, x)
-			}
-		}
-		if bs == nil || d.Class == s.Classes() {
-			return nil
-		}
 		rb := prng.NewStream(d.Seed, 0)
-		for i := range packed {
-			packed[i] = ^uint64(0) // dirty: SampleBatch must overwrite fully
+		for i := range clean {
+			clean[i], dirty[i] = 0, ^uint64(0)
 		}
-		bs.SampleBatch(rb, d.Class, packed)
-		bits.PackFloats(want, vec)
-		for i := range packed {
-			if packed[i] != want[i] {
-				return fmt.Errorf("SampleBatch word %d is %#x, Sample packs to %#x", i, packed[i], want[i])
+		s.SampleBatch(r, d.Class, clean)
+		s.SampleBatch(rb, d.Class, dirty)
+		for i := range clean {
+			if clean[i] != dirty[i] {
+				return fmt.Errorf("SampleBatch word %d is %#x into a zeroed dst but %#x into an all-ones dst", i, clean[i], dirty[i])
 			}
+		}
+		if tail := n % 64; tail != 0 && clean[len(clean)-1]>>uint(tail) != 0 {
+			return fmt.Errorf("SampleBatch set bits past FeatureLen %d: last word %#x", n, clean[len(clean)-1])
 		}
 		probe := r.Uint64()
 		if probe != rb.Uint64() {
-			return fmt.Errorf("SampleBatch consumed different generator state than Sample")
+			return fmt.Errorf("SampleBatch consumed different generator state on identical generators")
 		}
 		if rk != nil {
 			declared := rk.DrawWords(d.Class)
@@ -112,7 +98,7 @@ func CheckScenario(t T, s core.Scenario, cfg Config) *Failure[ScenarioDraw] {
 				rc.Uint64()
 			}
 			if rc.Uint64() != probe {
-				return fmt.Errorf("Sample consumed a different number of generator words than the declared layout DrawWords(%d) = %d", d.Class, declared)
+				return fmt.Errorf("SampleBatch consumed a different number of generator words than the declared layout DrawWords(%d) = %d", d.Class, declared)
 			}
 		}
 		return nil

@@ -11,7 +11,9 @@
 # box — and the maximum B/op and allocs/op. A second pass re-runs the
 # parallel-sensitive benchmarks (training engine, dataset generation)
 # at GOMAXPROCS=BENCH_MP so the snapshot also tracks scaling; go test
-# suffixes those names with -N, so they land as separate entries.
+# suffixes those names with -N, so they land as separate entries. The
+# pass is skipped on machines with fewer than BENCH_MP CPUs, where it
+# would measure oversubscription rather than scaling.
 #
 # Environment knobs:
 #   BENCH_DATE=YYYYMMDD  snapshot stamp (default: today)
@@ -23,7 +25,8 @@
 #                        uncommitted look)
 #   BENCH_COUNT=<n>      repeats per benchmark (default 3)
 #   BENCH_MP=<n>         GOMAXPROCS for the scaling pass (default 4;
-#                        0 skips the pass)
+#                        0 skips the pass, as does a machine with
+#                        fewer than n CPUs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,8 +66,8 @@ trap 'rm -f "$TMP"' EXIT
 # internal/prng: the vectorized positional draw kernels feeding the
 # sliced dataset path (BenchmarkSeedStream, BenchmarkDrawBatch).
 # internal/gimli + internal/speck + internal/simon + internal/simeck +
-# internal/chaskey + internal/gift: the scalar, interleaved and ×64
-# bitsliced cipher kernels behind the packed dataset fast path.
+# internal/chaskey + internal/gift: the scalar and bitsliced cipher
+# kernels behind the per-row and slice-window dataset paths.
 # internal/serve: the full HTTP classify path through the
 # micro-batching scheduler (BenchmarkServeClassify).
 # internal/ledger: audit-record append throughput (BenchmarkLedgerAppend).
@@ -77,7 +80,9 @@ go test . ./internal/nn/ ./internal/prng/ ./internal/gimli/ ./internal/speck/ ./
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.
-if [[ "$MP" != "0" ]]; then
+if [[ "$MP" != "0" ]] && (( $(nproc) < MP )); then
+  echo "bench: skipping the GOMAXPROCS=$MP scaling pass: only $(nproc) CPUs"
+elif [[ "$MP" != "0" ]]; then
   GOMAXPROCS="$MP" go test . ./internal/nn/ -run '^$' \
       -bench 'Fit$|GenerateDataset' \
       -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee -a "$TMP"
