@@ -284,11 +284,33 @@ func runRouter(o *options) error {
 	})
 }
 
+// Connection bounds of every listener, replica or router. Without them
+// a client that trickles its header or body, or parks an idle
+// keep-alive connection, holds the connection and its goroutine
+// forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the listener's http.Server with the connection
+// bounds above.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // listenAndDrain runs the HTTP listener until SIGINT/SIGTERM, then
 // shuts down gracefully (bounded by -drain) and lets the mode clean up
 // its backend.
 func listenAndDrain(o *options, handler http.Handler, banner string, cleanup func(context.Context)) error {
-	httpSrv := &http.Server{Addr: o.addr, Handler: handler}
+	httpSrv := newHTTPServer(o.addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -140,5 +144,48 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestSlowHeaderClosed: a client that sends part of a request line and
+// stalls gets its connection closed once the header timeout passes,
+// instead of holding it and a server goroutine forever. The test
+// shortens the header timeout to stay fast.
+func TestSlowHeaderClosed(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts (header %v, read %v, idle %v) differ from the package bounds",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	for _, d := range []time.Duration{readHeaderTimeout, readTimeout, idleTimeout} {
+		if d <= 0 {
+			t.Fatalf("connection bound %v is unset", d)
+		}
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /hea")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("slow-header connection still open after 5s")
 	}
 }

@@ -1,31 +1,14 @@
 package bits
 
-// Bit-plane arithmetic shared by the bitsliced cipher kernels. A plane
-// array holds one machine word per bit position: bit l of plane i is
-// bit i of lane l's word, the layout Transpose64/TransposeRows32
-// produce. Word-wise modular addition becomes a ripple-carry chain over
-// the planes — the textbook full adder evaluated once per bit position,
+// Bit-plane arithmetic for the bitsliced cipher kernels. A plane array
+// holds one machine word per bit position: bit l of plane i is bit i of
+// lane l's word, the layout Transpose64/TransposeRows32 produce.
+// Word-wise modular addition becomes a ripple-carry chain over the
+// planes — the textbook full adder evaluated once per bit position,
 // advancing all 64 lanes per step — and rotations of an operand are
-// free: they are a renaming of the plane indices the chain reads.
-//
-// speck (16-bit words) and chaskey (32-bit words) both call these; the
-// SPECK sliced kernels were the original home of the 16-bit chain and
-// now share this one implementation.
-
-// AddPlanes16 computes the 16-bit modular sum RotR16(a, rotA) + b in
-// plane form via a ripple-carry chain, writing into dst. dst may alias
-// neither input. rotA renames a's plane indices so a pre-rotated
-// operand costs nothing.
-func AddPlanes16(dst, a *[16]uint64, rotA uint, b *[16]uint64) {
-	var c uint64
-	for i := uint(0); i < 16; i++ {
-		av := a[(i+rotA)&15]
-		bv := b[i]
-		s := av ^ bv
-		dst[i] = s ^ c
-		c = (av & bv) | (c & s)
-	}
-}
+// free: they are a renaming of the plane indices the chain reads. The
+// SPECK kernel fuses its 16-bit chain into the round loop; Chaskey
+// calls AddPlanes32.
 
 // AddPlanes32 computes the 32-bit modular sum
 // RotR32(a, rotA) + RotR32(b, rotB) in plane form via a ripple-carry

@@ -9,56 +9,10 @@ import (
 	"repro/internal/testkit"
 )
 
-// The plane adders are pinned directly against machine addition: pack
-// 64 random word pairs into planes, add in plane form, and compare
-// lane for lane with RotR(a, rotA) + b done in plain integers. The
-// sliced cipher kernels inherit these semantics wholesale.
-
-type addCase16 struct {
-	A, B [64]uint16
-	RotA uint
-}
-
-func addCases16() testkit.Gen[addCase16] {
-	return testkit.Gen[addCase16]{
-		Name: "plane add 16",
-		Generate: func(r *prng.Rand) addCase16 {
-			var c addCase16
-			for l := range c.A {
-				c.A[l], c.B[l] = r.Uint16(), r.Uint16()
-			}
-			c.RotA = uint(r.Uint64() % 16)
-			return c
-		},
-		Format: func(c addCase16) string {
-			return fmt.Sprintf("rotA=%d lane0 a=%04x b=%04x", c.RotA, c.A[0], c.B[0])
-		},
-	}
-}
-
-func TestAddPlanes16(t *testing.T) {
-	testkit.Check(t, "add-planes-16", addCases16(), func(c addCase16) error {
-		var pa, pb, dst [16]uint64
-		for i := uint(0); i < 16; i++ {
-			for l := uint(0); l < 64; l++ {
-				pa[i] |= uint64(c.A[l]>>i&1) << l
-				pb[i] |= uint64(c.B[l]>>i&1) << l
-			}
-		}
-		bits.AddPlanes16(&dst, &pa, c.RotA, &pb)
-		for l := uint(0); l < 64; l++ {
-			want := bits.RotR16(c.A[l], c.RotA) + c.B[l]
-			var got uint16
-			for i := uint(0); i < 16; i++ {
-				got |= uint16(dst[i]>>l&1) << i
-			}
-			if got != want {
-				return fmt.Errorf("lane %d: %04x vs %04x", l, got, want)
-			}
-		}
-		return nil
-	})
-}
+// The plane adder is pinned directly against machine addition: pack 64
+// random word pairs into planes, add in plane form, and compare lane
+// for lane with RotR(a, rotA) + RotR(b, rotB) done in plain integers.
+// The sliced Chaskey kernel inherits these semantics wholesale.
 
 type addCase32 struct {
 	A, B       [64]uint32

@@ -1,10 +1,10 @@
 package bits
 
 // This file implements the 64×64 bit-matrix transpose behind the
-// bitsliced cipher kernels (internal/speck.Sliced64): 64 independent
-// lanes, one per matrix row, are flipped into 64 bit-planes, one per
-// matrix column, so that a single logical word operation advances all
-// 64 lanes at once. The convention matches the rest of the repository:
+// bitsliced cipher kernels (speck, simon, simeck, chaskey, gift): 64
+// independent lanes, one per matrix row, are flipped into 64
+// bit-planes, one per matrix column, so that a single logical word
+// operation advances all 64 lanes at once. The convention matches the rest of the repository:
 // bit j of row i is matrix element (i, j) — least-significant bit
 // first, exactly the packed-row layout of PackBytes/PackFloats.
 //
@@ -85,11 +85,6 @@ func transpose64Scalar(m *[64]uint64) {
 	transposeStages16to1(hi)
 }
 
-// Untranspose64 inverts Transpose64. The transpose is an involution, so
-// this is the same operation; the name exists so call sites read as
-// lanes→planes (Transpose64) and planes→lanes (Untranspose64).
-func Untranspose64(m *[64]uint64) { Transpose64(m) }
-
 // TransposeRows32 transposes 64 rows of 32 bits into 32 planes of 64
 // bits: bit l of planes[j] is bit j of rows[l]. It is Transpose64 on
 // the 64×64 matrix whose upper 32 columns are zero, with the w=32
@@ -109,7 +104,7 @@ func TransposeRows32(rows *[64]uint32, planes *[32]uint64) {
 // draw columns into 32 bit-planes: for j < 16, bit l of planes[j] is
 // bit j of uint16(a[l]>>48), and bit l of planes[16+j] is bit j of
 // uint16(b[l]>>48). A Rand.Uint16 draw is the top 16 bits of one
-// Uint64 output, so this turns two column-major prng.DrawWords64
+// Uint64 output, so this turns two prng.DrawWords64Strided
 // columns directly into the 16-bit half-block plane pair the bitsliced
 // cipher kernels consume. Like TransposeRows32 it folds the w=32
 // butterfly stage into the packing loop; the top-16 extraction rides

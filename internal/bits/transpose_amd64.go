@@ -2,12 +2,14 @@
 
 package bits
 
+import "repro/internal/cpu"
+
 // AVX2 dispatch for the transpose kernels. The implementations are in
 // transpose_amd64.s; useTransposeAVX2 is a variable rather than a call
-// to HasAVX2 so tests can force the scalar path and check both
+// to cpu.HasAVX2 so tests can force the scalar path and check both
 // implementations agree on the same machine.
 
-var useTransposeAVX2 = hasAVX2
+var useTransposeAVX2 = cpu.HasAVX2()
 
 // transpose64AVX2 is Transpose64 with AVX2 butterflies (transpose_amd64.s).
 //

@@ -5,6 +5,7 @@ package bits
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/prng"
 )
 
@@ -12,7 +13,7 @@ import (
 // picks one at init and every caller assumes the result is identical.
 
 func TestTranspose64AVX2MatchesScalar(t *testing.T) {
-	if !hasAVX2 {
+	if !cpu.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
 	r := prng.New(0x7a3)
@@ -32,7 +33,7 @@ func TestTranspose64AVX2MatchesScalar(t *testing.T) {
 }
 
 func TestTransposeStagesAVX2MatchesScalar(t *testing.T) {
-	if !hasAVX2 {
+	if !cpu.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
 	r := prng.New(0x7a4)

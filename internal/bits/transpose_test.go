@@ -64,12 +64,13 @@ func TestTranspose64Definition(t *testing.T) {
 	})
 }
 
-// TestTranspose64RoundTrip: Transpose64 ∘ Untranspose64 = id.
+// TestTranspose64RoundTrip: Transpose64 is an involution, so applying
+// it twice is the identity.
 func TestTranspose64RoundTrip(t *testing.T) {
 	testkit.Check(t, "transpose64-roundtrip", bitMatrix(), func(m [64]uint64) error {
 		got := m
 		bits.Transpose64(&got)
-		bits.Untranspose64(&got)
+		bits.Transpose64(&got)
 		if got != m {
 			return fmt.Errorf("round trip is not the identity")
 		}

@@ -21,25 +21,28 @@ func BenchmarkChaskeyPermute(b *testing.B) {
 	})
 	// The ×64 sliced kernel amortises rounds across 64 lanes; ns/op here
 	// covers 64 difference pairs, so divide by 64 to compare against the
-	// scalar loop above.
-	var lo, hi [64]uint64
+	// scalar loop above. It reads raw draw columns (state word in the top
+	// half) and leaves them intact.
+	var cols [4 * chaskey.SlicedLanes]uint64
 	for l := 0; l < 64; l++ {
 		s := v
 		s[0] ^= uint32(l) * 0x85ebca6b
-		lo[l], hi[l] = chaskey.PackStateRows(s)
+		for w, x := range s {
+			cols[w*64+l] = uint64(x) << 32
+		}
 	}
 	var outLo, outHi [64]uint64
-	b.Run("sliced-x64-3r", func(b *testing.B) {
+	b.Run("drawcols-x64-3r", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			chaskey.PermuteDiffSliced64(&lo, &hi, chaskey.NDDelta, 3, &outLo, &outHi)
+			chaskey.PermuteDiffDrawCols64(&cols, chaskey.NDDelta, 3, &outLo, &outHi)
 		}
 		b.ReportMetric(64, "pairs/op")
 	})
-	b.Run("sliced-x64-8r", func(b *testing.B) {
+	b.Run("drawcols-x64-8r", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			chaskey.PermuteDiffSliced64(&lo, &hi, chaskey.NDDelta, chaskey.Rounds, &outLo, &outHi)
+			chaskey.PermuteDiffDrawCols64(&cols, chaskey.NDDelta, chaskey.Rounds, &outLo, &outHi)
 		}
 		b.ReportMetric(64, "pairs/op")
 	})

@@ -15,8 +15,8 @@ package chaskey
 // makes the output difference a plane-wise XOR under one shared
 // offset. On amd64 a word-sliced AVX2 kernel (sliced_amd64.s) replaces
 // the plane walk entirely — VPADDD gives native 32-bit lane adds, so
-// slicing to bit planes buys nothing there — and sliced_test.go pins
-// both paths lane-for-lane against two scalar Permute calls.
+// slicing to bit planes buys nothing there — and the tests pin both
+// paths lane-for-lane against two scalar Permute calls.
 
 import (
 	"fmt"
@@ -24,60 +24,25 @@ import (
 	"repro/internal/bits"
 )
 
-// SlicedLanes is the lane count of the sliced kernel.
+// SlicedLanes is the lane count of PermuteDiffDrawCols64.
 const SlicedLanes = 64
 
-// PackStateRows packs a state into the two 64-bit lane rows the sliced
-// kernel consumes: lo = v0 ‖ v1<<32, hi = v2 ‖ v3<<32 — the packed-row
-// bit layout the Chaskey scenario datasets use.
-func PackStateRows(s State) (lo, hi uint64) {
-	return uint64(s[0]) | uint64(s[1])<<32, uint64(s[2]) | uint64(s[3])<<32
-}
-
-// PermuteDiffSliced64 is the fused differential-sampler kernel: for
+// PermuteDiffDrawCols64 is the fused differential-sampler kernel: for
 // each lane l it computes
 //
 //	Permute(V[l], n) ⊕ Permute(V[l] ⊕ delta, n)
 //
-// returning the 64 output differences in the same (lo, hi) packed-row
-// layout the inputs use. Neither input array is modified.
-func PermuteDiffSliced64(loRows, hiRows *[64]uint64, delta State, n int, outLo, outHi *[64]uint64) {
-	if n < 0 || n > LTSRounds {
-		panic(fmt.Sprintf("chaskey: invalid round count %d", n))
-	}
-	if permuteDiffAccel(loRows, hiRows, delta, n, outLo, outHi) {
-		return
-	}
-	permuteDiffPlanes(loRows, hiRows, delta, n, outLo, outHi)
-}
-
-// PermuteDiffWords64 is PermuteDiffSliced64 for callers that hold the
-// states word-sliced: words[w][l] is state word v_w of lane l. This is
-// the layout the AVX2 kernel walks natively — the batched-draw sampler
-// builds it straight from column-major PRNG draws, so the vector path
-// runs without any per-lane row split — and the bit-plane fallback is
-// one TransposeRows32 per word group away. words is clobbered.
-func PermuteDiffWords64(words *[4][64]uint32, delta State, n int, outLo, outHi *[64]uint64) {
-	if n < 0 || n > LTSRounds {
-		panic(fmt.Sprintf("chaskey: invalid round count %d", n))
-	}
-	if permuteDiffWordsAccel(words, delta, n, outLo, outHi) {
-		return
-	}
-	var maLo, maHi [64]uint64
-	bits.TransposeRows32(&words[0], (*[32]uint64)(maLo[0:32]))
-	bits.TransposeRows32(&words[1], (*[32]uint64)(maLo[32:64]))
-	bits.TransposeRows32(&words[2], (*[32]uint64)(maHi[0:32]))
-	bits.TransposeRows32(&words[3], (*[32]uint64)(maHi[32:64]))
-	permuteDiffPlanesCore(&maLo, &maHi, delta, n, outLo, outHi)
-}
-
-// PermuteDiffDrawCols64 is PermuteDiffWords64 for callers holding the
-// raw column-major batch draws: cols[w*64+l] is a full Uint64 generator
-// output whose top 32 bits are state word v_w of lane l (a positional
-// Uint32 draw is Uint64 >> 32). Folding the truncation into the
-// kernel's own lane split saves the batched-draw sampler a separate
-// conversion pass over the draw buffer. cols is not modified.
+// returning the 64 output differences as packed rows outLo = v0 ‖ v1<<32
+// and outHi = v2 ‖ v3<<32, the packed-row bit layout of the Chaskey
+// scenario. The states arrive as raw column-major batch draws:
+// cols[w*64+l] is a full Uint64 generator output whose top 32 bits are
+// state word v_w of lane l (a positional Uint32 draw is Uint64 >> 32),
+// so the truncation folds into the kernel's own lane split instead of
+// costing the sampler a conversion pass. cols is not modified.
+//
+// On amd64 with AVX2 the word-sliced kernel in sliced_amd64.s runs the
+// rounds; everywhere else the draws transpose into bit planes for the
+// portable plane kernel below.
 func PermuteDiffDrawCols64(cols *[4 * SlicedLanes]uint64, delta State, n int, outLo, outHi *[64]uint64) {
 	if n < 0 || n > LTSRounds {
 		panic(fmt.Sprintf("chaskey: invalid round count %d", n))
@@ -170,14 +135,6 @@ func viewState(lo, hi *[64]uint64, t0, t2 *[32]uint64) slicedState {
 		t0: t0,
 		t2: t2,
 	}
-}
-
-func permuteDiffPlanes(loRows, hiRows *[64]uint64, delta State, n int, outLo, outHi *[64]uint64) {
-	// Lane rows → planes, then the plane-form core.
-	maLo, maHi := *loRows, *hiRows
-	bits.Transpose64(&maLo)
-	bits.Transpose64(&maHi)
-	permuteDiffPlanesCore(&maLo, &maHi, delta, n, outLo, outHi)
 }
 
 // permuteDiffPlanesCore runs the differential permutation on states

@@ -2,16 +2,16 @@
 
 package chaskey
 
-import "repro/internal/bits"
+import "repro/internal/cpu"
 
-// AVX2 side of PermuteDiffSliced64: the Go wrapper splits the packed
-// lane rows into per-word lane arrays — the word-sliced layout the
+// AVX2 side of PermuteDiffDrawCols64: the Go wrapper splits the draw
+// columns into per-word lane arrays — the word-sliced layout the
 // assembly kernel in sliced_amd64.s walks, eight lanes per YMM
 // register — and packs the output differences back. useChaskeyAVX2 is
 // a variable so tests can force the bit-plane fallback and check both
 // paths agree on the same machine.
 
-var useChaskeyAVX2 = bits.HasAVX2()
+var useChaskeyAVX2 = cpu.HasAVX2()
 
 // permutePairAVX2 applies n permutation rounds in place to both
 // word-sliced state sets (sliced_amd64.s).
@@ -19,24 +19,9 @@ var useChaskeyAVX2 = bits.HasAVX2()
 //go:noescape
 func permutePairAVX2(va, vb *[4][64]uint32, n int)
 
-func permuteDiffAccel(loRows, hiRows *[64]uint64, delta State, n int, outLo, outHi *[64]uint64) bool {
-	if !useChaskeyAVX2 {
-		return false
-	}
-	var words [4][64]uint32
-	for l := 0; l < 64; l++ {
-		lo, hi := loRows[l], hiRows[l]
-		words[0][l] = uint32(lo)
-		words[1][l] = uint32(lo >> 32)
-		words[2][l] = uint32(hi)
-		words[3][l] = uint32(hi >> 32)
-	}
-	return permuteDiffWordsAccel(&words, delta, n, outLo, outHi)
-}
-
 // permuteDiffColsAccel is the vector arm of PermuteDiffDrawCols64: the
 // >>32 truncation of the raw draws happens while building the δ-partner
-// pair, one pass over the draw buffer instead of two.
+// pair, one pass over the draw buffer.
 func permuteDiffColsAccel(cols *[4 * SlicedLanes]uint64, delta State, n int, outLo, outHi *[64]uint64) bool {
 	if !useChaskeyAVX2 {
 		return false
@@ -55,28 +40,6 @@ func permuteDiffColsAccel(cols *[4 * SlicedLanes]uint64, delta State, n int, out
 	for l := 0; l < 64; l++ {
 		outLo[l] = uint64(va[0][l]^vb[0][l]) | uint64(va[1][l]^vb[1][l])<<32
 		outHi[l] = uint64(va[2][l]^vb[2][l]) | uint64(va[3][l]^vb[3][l])<<32
-	}
-	return true
-}
-
-// permuteDiffWordsAccel permutes words (in place — the caller's array
-// is clobbered) and its δ-partner and writes the packed output
-// difference rows.
-func permuteDiffWordsAccel(words *[4][64]uint32, delta State, n int, outLo, outHi *[64]uint64) bool {
-	if !useChaskeyAVX2 {
-		return false
-	}
-	var vb [4][64]uint32
-	for w := 0; w < 4; w++ {
-		d := delta[w]
-		for l := 0; l < 64; l++ {
-			vb[w][l] = words[w][l] ^ d
-		}
-	}
-	permutePairAVX2(words, &vb, n)
-	for l := 0; l < 64; l++ {
-		outLo[l] = uint64(words[0][l]^vb[0][l]) | uint64(words[1][l]^vb[1][l])<<32
-		outHi[l] = uint64(words[2][l]^vb[2][l]) | uint64(words[3][l]^vb[3][l])<<32
 	}
 	return true
 }

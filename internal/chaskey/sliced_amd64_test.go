@@ -21,10 +21,10 @@ func TestPermuteDiffSlicedAccelParity(t *testing.T) {
 
 	rw := prng.New(0x5eed_c4a5)
 	for trial := 0; trial < 32; trial++ {
-		var loRows, hiRows [64]uint64
-		for l := 0; l < 64; l++ {
-			loRows[l] = rw.Uint64()
-			hiRows[l] = rw.Uint64()
+		// Full random draws: state words on top, junk in the low halves.
+		var cols [4 * SlicedLanes]uint64
+		for i := range cols {
+			cols[i] = rw.Uint64()
 		}
 		delta := State{rw.Uint32(), rw.Uint32(), rw.Uint32(), rw.Uint32()}
 		if trial == 0 {
@@ -34,51 +34,14 @@ func TestPermuteDiffSlicedAccelParity(t *testing.T) {
 
 		var accLo, accHi, planeLo, planeHi [64]uint64
 		useChaskeyAVX2 = true
-		PermuteDiffSliced64(&loRows, &hiRows, delta, n, &accLo, &accHi)
+		PermuteDiffDrawCols64(&cols, delta, n, &accLo, &accHi)
 		useChaskeyAVX2 = false
-		PermuteDiffSliced64(&loRows, &hiRows, delta, n, &planeLo, &planeHi)
+		PermuteDiffDrawCols64(&cols, delta, n, &planeLo, &planeHi)
 		for l := 0; l < 64; l++ {
 			if accLo[l] != planeLo[l] || accHi[l] != planeHi[l] {
 				t.Fatalf("trial %d lane %d over %d rounds: AVX2 %016x %016x vs planes %016x %016x",
 					trial, l, n, accLo[l], accHi[l], planeLo[l], planeHi[l])
 			}
-		}
-
-		// The word-sliced entry has its own fallback (TransposeRows32
-		// into the plane core); force it and check against the AVX2 run.
-		var words [4][64]uint32
-		for l := 0; l < 64; l++ {
-			words[0][l] = uint32(loRows[l])
-			words[1][l] = uint32(loRows[l] >> 32)
-			words[2][l] = uint32(hiRows[l])
-			words[3][l] = uint32(hiRows[l] >> 32)
-		}
-		var wLo, wHi [64]uint64
-		PermuteDiffWords64(&words, delta, n, &wLo, &wHi)
-		if wLo != accLo || wHi != accHi {
-			t.Fatalf("trial %d over %d rounds: word-sliced fallback diverges from AVX2", trial, n)
-		}
-
-		// And the raw-draw-column entry, both arms: the state word sits
-		// in the top half of each column word, junk below.
-		var cols [4 * SlicedLanes]uint64
-		for l := 0; l < 64; l++ {
-			cols[0*64+l] = loRows[l]<<32 | uint64(l)
-			cols[1*64+l] = loRows[l] & ^uint64(0xffffffff)
-			cols[2*64+l] = hiRows[l]<<32 | uint64(l)*3
-			cols[3*64+l] = hiRows[l] & ^uint64(0xffffffff)
-		}
-		var cLo, cHi [64]uint64
-		PermuteDiffDrawCols64(&cols, delta, n, &cLo, &cHi) // fallback arm (still disabled)
-		useChaskeyAVX2 = true
-		var caLo, caHi [64]uint64
-		PermuteDiffDrawCols64(&cols, delta, n, &caLo, &caHi) // accel arm
-		useChaskeyAVX2 = false
-		if cLo != caLo || cHi != caHi {
-			t.Fatalf("trial %d over %d rounds: draw-column fallback diverges from its AVX2 arm", trial, n)
-		}
-		if cLo != accLo || cHi != accHi {
-			t.Fatalf("trial %d over %d rounds: draw-column entry diverges from packed-row AVX2", trial, n)
 		}
 	}
 }

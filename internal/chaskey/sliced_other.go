@@ -2,14 +2,6 @@
 
 package chaskey
 
-func permuteDiffAccel(loRows, hiRows *[64]uint64, delta State, n int, outLo, outHi *[64]uint64) bool {
-	return false
-}
-
-func permuteDiffWordsAccel(words *[4][64]uint32, delta State, n int, outLo, outHi *[64]uint64) bool {
-	return false
-}
-
 func permuteDiffColsAccel(cols *[4 * SlicedLanes]uint64, delta State, n int, outLo, outHi *[64]uint64) bool {
 	return false
 }

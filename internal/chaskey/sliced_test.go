@@ -1,7 +1,7 @@
 // Tests for the bitsliced ×64 Chaskey kernel: bit-identity with two
 // scalar Permute calls is checked lane by lane, across random states and
 // differences and every round count up to LTS, so the dataset fast
-// path can trust the sliced kernel blindly.
+// path can trust PermuteDiffDrawCols64 blindly.
 package chaskey_test
 
 import (
@@ -62,20 +62,29 @@ func slicedCases() testkit.Gen[slicedCase] {
 	}
 }
 
-// TestPermuteDiffSliced64 pins the sliced kernel lane for lane against
-// two scalar Permute calls.
+// drawCols lays the lane states out as PermuteDiffDrawCols64's draw
+// columns: state word w of lane l in the top half of cols[w*64+l], the
+// low half zero.
+func drawCols(states *[64]chaskey.State) (cols [4 * chaskey.SlicedLanes]uint64) {
+	for l, s := range states {
+		for w, v := range s {
+			cols[w*64+l] = uint64(v) << 32
+		}
+	}
+	return
+}
+
+// TestPermuteDiffSliced64 pins the kernel lane for lane against two
+// scalar Permute calls.
 func TestPermuteDiffSliced64(t *testing.T) {
 	testkit.Check(t, "chaskey-sliced-diff", slicedCases(), func(c slicedCase) error {
-		var loRows, hiRows [64]uint64
-		for l := 0; l < 64; l++ {
-			loRows[l], hiRows[l] = chaskey.PackStateRows(c.States[l])
-		}
+		cols := drawCols(&c.States)
 		var outLo, outHi [64]uint64
-		chaskey.PermuteDiffSliced64(&loRows, &hiRows, c.Delta, c.Rounds, &outLo, &outHi)
+		chaskey.PermuteDiffDrawCols64(&cols, c.Delta, c.Rounds, &outLo, &outHi)
 		for l := 0; l < 64; l++ {
-			a := chaskey.Permute(c.States[l], c.Rounds)
-			b := chaskey.Permute(c.States[l].XOR(c.Delta), c.Rounds)
-			wantLo, wantHi := chaskey.PackStateRows(a.XOR(b))
+			d := chaskey.Permute(c.States[l], c.Rounds).XOR(chaskey.Permute(c.States[l].XOR(c.Delta), c.Rounds))
+			wantLo := uint64(d[0]) | uint64(d[1])<<32
+			wantHi := uint64(d[2]) | uint64(d[3])<<32
 			if outLo[l] != wantLo || outHi[l] != wantHi {
 				return fmt.Errorf("lane %d over %d rounds: diff %016x %016x vs scalar %016x %016x",
 					l, c.Rounds, outLo[l], outHi[l], wantLo, wantHi)
@@ -85,85 +94,51 @@ func TestPermuteDiffSliced64(t *testing.T) {
 	})
 }
 
-// TestPermuteDiffWords64 pins the word-sliced entry against the
-// packed-row kernel: splitting the rows into per-word lane arrays by
-// hand must reproduce PermuteDiffSliced64 exactly.
-func TestPermuteDiffWords64(t *testing.T) {
-	testkit.Check(t, "chaskey-sliced-words", slicedCases(), func(c slicedCase) error {
-		var loRows, hiRows [64]uint64
-		var words [4][64]uint32
-		for l := 0; l < 64; l++ {
-			loRows[l], hiRows[l] = chaskey.PackStateRows(c.States[l])
-			words[0][l] = uint32(loRows[l])
-			words[1][l] = uint32(loRows[l] >> 32)
-			words[2][l] = uint32(hiRows[l])
-			words[3][l] = uint32(hiRows[l] >> 32)
-		}
-		var wantLo, wantHi, gotLo, gotHi [64]uint64
-		chaskey.PermuteDiffSliced64(&loRows, &hiRows, c.Delta, c.Rounds, &wantLo, &wantHi)
-		chaskey.PermuteDiffWords64(&words, c.Delta, c.Rounds, &gotLo, &gotHi)
-		if gotLo != wantLo || gotHi != wantHi {
-			return fmt.Errorf("word-sliced entry differs from packed-row kernel")
-		}
-		return nil
-	})
-}
-
-// TestPermuteDiffDrawCols64 pins the raw-draw-column entry against the
-// packed-row kernel: each column word carries the state word in its top
-// 32 bits with arbitrary garbage below, exactly as the batched sampler
-// hands over full Uint64 draws.
+// TestPermuteDiffDrawCols64 pins the kernel's >>32 truncation of the
+// draw columns: junk in their low halves, as a full Uint64 draw
+// carries, leaves every output unchanged.
 func TestPermuteDiffDrawCols64(t *testing.T) {
 	testkit.Check(t, "chaskey-sliced-drawcols", slicedCases(), func(c slicedCase) error {
-		var loRows, hiRows [64]uint64
-		var cols [4 * chaskey.SlicedLanes]uint64
-		for l := 0; l < 64; l++ {
-			loRows[l], hiRows[l] = chaskey.PackStateRows(c.States[l])
-			// Low halves are junk the entry must ignore.
-			junk := uint64(l)*0x9e3779b97f4a7c15 + 1
-			cols[0*64+l] = uint64(c.States[l][0])<<32 | junk&0xffffffff
-			cols[1*64+l] = uint64(c.States[l][1])<<32 | ^junk&0xffffffff
-			cols[2*64+l] = uint64(c.States[l][2])<<32 | junk>>32
-			cols[3*64+l] = uint64(c.States[l][3])<<32 | ^junk>>32
+		clean := drawCols(&c.States)
+		dirty := clean
+		for i := range dirty {
+			dirty[i] |= (uint64(i)*0x9e3779b97f4a7c15 + 1) >> 32
 		}
 		var wantLo, wantHi, gotLo, gotHi [64]uint64
-		chaskey.PermuteDiffSliced64(&loRows, &hiRows, c.Delta, c.Rounds, &wantLo, &wantHi)
-		chaskey.PermuteDiffDrawCols64(&cols, c.Delta, c.Rounds, &gotLo, &gotHi)
+		chaskey.PermuteDiffDrawCols64(&clean, c.Delta, c.Rounds, &wantLo, &wantHi)
+		chaskey.PermuteDiffDrawCols64(&dirty, c.Delta, c.Rounds, &gotLo, &gotHi)
 		if gotLo != wantLo || gotHi != wantHi {
-			return fmt.Errorf("draw-column entry differs from packed-row kernel")
+			return fmt.Errorf("junk in the low halves changed the output over %d rounds", c.Rounds)
 		}
 		return nil
 	})
 }
 
-func TestPermuteDiffDrawCols64RangeCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PermuteDiffDrawCols64 accepted -1 rounds")
-		}
-	}()
+// rejects reports whether PermuteDiffDrawCols64 panics on n rounds.
+func rejects(n int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
 	var cols [4 * chaskey.SlicedLanes]uint64
 	var outLo, outHi [64]uint64
-	chaskey.PermuteDiffDrawCols64(&cols, chaskey.NDDelta, -1, &outLo, &outHi)
+	chaskey.PermuteDiffDrawCols64(&cols, chaskey.NDDelta, n, &outLo, &outHi)
+	return false
 }
 
-func TestPermuteDiffWords64RangeCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PermuteDiffWords64 accepted -1 rounds")
-		}
-	}()
-	var words [4][64]uint32
-	var outLo, outHi [64]uint64
-	chaskey.PermuteDiffWords64(&words, chaskey.NDDelta, -1, &outLo, &outHi)
-}
-
+// TestPermuteDiffSliced64RangeCheck: the kernel rejects round counts
+// outside [0, LTSRounds].
 func TestPermuteDiffSliced64RangeCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PermuteDiffSliced64 accepted 13 rounds")
+	for _, n := range []int{-1, chaskey.LTSRounds + 1} {
+		if !rejects(n) {
+			t.Errorf("PermuteDiffDrawCols64 accepted %d rounds", n)
 		}
-	}()
-	var loRows, hiRows, outLo, outHi [64]uint64
-	chaskey.PermuteDiffSliced64(&loRows, &hiRows, chaskey.NDDelta, chaskey.LTSRounds+1, &outLo, &outHi)
+	}
+}
+
+// TestPermuteDiffDrawCols64RangeCheck: both ends of [0, LTSRounds] are
+// accepted.
+func TestPermuteDiffDrawCols64RangeCheck(t *testing.T) {
+	for _, n := range []int{0, chaskey.LTSRounds} {
+		if rejects(n) {
+			t.Errorf("PermuteDiffDrawCols64 rejected %d rounds", n)
+		}
+	}
 }

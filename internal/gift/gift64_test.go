@@ -1,7 +1,6 @@
 package gift
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -185,31 +184,4 @@ func BenchmarkGift64Encrypt(b *testing.B) {
 		s = c.Encrypt(s)
 	}
 	_ = s
-}
-
-// BenchmarkGift64EncryptSliced measures the ×64 bitsliced difference
-// kernel at the registered 4-round depth and the full 28 rounds;
-// ns/op covers 64 difference pairs, so divide by 64 to compare
-// against per-pair scalar encryption.
-func BenchmarkGift64EncryptSliced(b *testing.B) {
-	r := prng.New(0xb17e)
-	var keyLo, keyHi, pts [64]uint64
-	for l := 0; l < 64; l++ {
-		var k [8]uint16
-		for w := range k {
-			k[w] = r.Uint16()
-		}
-		keyLo[l], keyHi[l] = PackKeyRows(k)
-		pts[l] = r.Uint64()
-	}
-	var out [64]uint64
-	for _, rounds := range []int{4, Rounds64} {
-		b.Run(fmt.Sprintf("x64-%dr", rounds), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				EncryptDiffSliced64(&keyLo, &keyHi, &pts, 0x2, rounds, &out)
-			}
-			b.ReportMetric(64, "pairs/op")
-		})
-	}
 }

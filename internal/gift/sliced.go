@@ -1,12 +1,13 @@
 package gift
 
-// This file implements the bitsliced ×64 GIFT-64 kernels behind the
-// dataset-generation fast path. GIFT is the ideal bitslice target of
-// the cipher suite: SubCells becomes a 7-gate boolean circuit over the
-// four planes of every nibble (the same circuit for all 16 nibbles,
-// all 64 lanes per gate), PermBits — the expensive half of the scalar
-// round — vanishes into the writeback indices of that circuit, and
-// AddRoundKey is 32 plane XORs plus branchless constant complements.
+// This file implements the bitsliced ×64 GIFT-64 difference kernel
+// behind the dataset-generation fast path. GIFT is the ideal bitslice
+// target of the cipher suite: SubCells becomes a 7-gate boolean
+// circuit over the four planes of every nibble (the same circuit for
+// all 16 nibbles, all 64 lanes per gate), PermBits — the expensive half
+// of the scalar round — vanishes into the writeback indices of that
+// circuit, and AddRoundKey is 32 plane XORs plus branchless constant
+// complements.
 // The key schedule never computes anything: GIFT's rotation
 // k7‖…‖k0 ← (k1 ⋙ 2)‖(k0 ⋙ 12)‖k7‖…‖k2 only moves words around, so
 // the sliced schedule is bookkeeping over eight {plane group, rotation
@@ -20,17 +21,8 @@ import (
 	"repro/internal/bits"
 )
 
-// SlicedLanes64 is the lane count of the GIFT-64 sliced kernels.
+// SlicedLanes64 is the lane count of EncryptDiffPlanes64.
 const SlicedLanes64 = 64
-
-// PackKeyRows packs an 8-word GIFT-64 key (key[0] = k7 … key[7] = k0,
-// the word order NewCipher64 takes) into the two 64-bit lane rows the
-// sliced kernels consume.
-func PackKeyRows(k [8]uint16) (lo, hi uint64) {
-	lo = uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
-	hi = uint64(k[4]) | uint64(k[5])<<16 | uint64(k[6])<<32 | uint64(k[7])<<48
-	return
-}
 
 // keySlot locates one schedule word: its 16 planes and the rotation
 // offset accumulated by the ⋙ 2 / ⋙ 12 steps it has passed through.
@@ -39,8 +31,8 @@ type keySlot struct {
 	off uint
 }
 
-// keySlots views the two transposed key matrices as the eight schedule
-// word slots, PackKeyRows order.
+// keySlots views the two key plane matrices as the eight schedule word
+// slots, key word order.
 func keySlots(mkLo, mkHi *[64]uint64) [8]keySlot {
 	return [8]keySlot{
 		{(*[16]uint64)(mkLo[0:16]), 0},
@@ -91,14 +83,14 @@ func addRoundKeySliced(sp *[64]uint64, u, v keySlot, rc byte) {
 	sp[63] ^= ^uint64(0)
 }
 
-// encryptSlicedStates runs n rounds over one or two state plane sets
-// under one shared key schedule (the differential sampler's two states
-// use the same per-lane keys). sb/tb may be nil for a single state.
-// Explicit pointer parameters — not a []*[64]uint64 — and a by-value
-// slot array (the rotation writes pointers into it every round) keep
-// escape analysis happy: callers' plane arrays stay on their stacks. The
-// returned pointers hold the final planes (state and scratch swap each
-// round, so they may be either input buffer).
+// encryptSlicedStates runs n rounds over two state plane sets under one
+// shared key schedule (the differential sampler's two states use the
+// same per-lane keys). Explicit pointer parameters — not a
+// []*[64]uint64 — and a by-value slot array (the rotation writes
+// pointers into it every round) keep escape analysis happy: callers'
+// plane arrays stay on their stacks. The returned pointers hold the
+// final planes (state and scratch swap each round, so they may be
+// either input buffer).
 func encryptSlicedStates(slots [8]keySlot, sa, ta, sb, tb *[64]uint64, n int) (ra, rb *[64]uint64) {
 	state6 := byte(0)
 	for r := 0; r < n; r++ {
@@ -107,11 +99,9 @@ func encryptSlicedStates(slots [8]keySlot, sa, ta, sb, tb *[64]uint64, n int) (r
 		subCellsPerm(ta, sa)
 		sa, ta = ta, sa
 		addRoundKeySliced(sa, u, v, state6)
-		if sb != nil {
-			subCellsPerm(tb, sb)
-			sb, tb = tb, sb
-			addRoundKeySliced(sb, u, v, state6)
-		}
+		subCellsPerm(tb, sb)
+		sb, tb = tb, sb
+		addRoundKeySliced(sb, u, v, state6)
 		// Schedule rotation: pure slot movement, u and v re-enter at the
 		// bottom with their word rotations folded into the offsets. An
 		// explicit shift rather than copy(): escape analysis treats a
@@ -126,72 +116,32 @@ func encryptSlicedStates(slots [8]keySlot, sa, ta, sb, tb *[64]uint64, n int) (r
 	return sa, sb
 }
 
-// EncryptSliced64 encrypts 64 lanes, each under its own key, through
-// the first n GIFT-64 rounds — the sliced form of EncryptRounds.
-// Inputs arrive as packed lane rows (PackKeyRows and the plain 64-bit
-// state word); neither input array is modified.
-func EncryptSliced64(keyLoRows, keyHiRows, ptRows *[64]uint64, n int, out *[64]uint64) {
-	if n < 0 || n > Rounds64 {
-		panic(fmt.Sprintf("gift: invalid GIFT-64 round count %d", n))
-	}
-	mkLo, mkHi := *keyLoRows, *keyHiRows
-	bits.Transpose64(&mkLo)
-	bits.Transpose64(&mkHi)
-	slots := keySlots(&mkLo, &mkHi)
-
-	sa := *ptRows
-	bits.Transpose64(&sa)
-	var ta [64]uint64
-	fa, _ := encryptSlicedStates(slots, &sa, &ta, nil, nil, n)
-
-	res := *fa
-	bits.Transpose64(&res)
-	*out = res
-}
-
-// EncryptDiffSliced64 is the fused differential-sampler kernel: for
+// EncryptDiffPlanes64 is the fused differential-sampler kernel: for
 // each lane l it computes
 //
 //	EncryptRounds(p[l], n) ⊕ EncryptRounds(p[l] ⊕ delta, n)
 //
 // under lane l's own key, with one shared schedule walk for both
-// states. Neither input array is modified.
-func EncryptDiffSliced64(keyLoRows, keyHiRows, ptRows *[64]uint64, delta uint64, n int, out *[64]uint64) {
-	if n < 0 || n > Rounds64 {
-		panic(fmt.Sprintf("gift: invalid GIFT-64 round count %d", n))
-	}
-	mkLo, mkHi := *keyLoRows, *keyHiRows
-	bits.Transpose64(&mkLo)
-	bits.Transpose64(&mkHi)
-	sa := *ptRows
-	bits.Transpose64(&sa)
-	encryptDiffPlanes(&mkLo, &mkHi, &sa, delta, n, out)
-}
-
-// EncryptDiffPlanes64 is EncryptDiffSliced64 for callers that already
-// hold the inputs in plane form: keyLo/keyHi are the transposed images
-// of the PackKeyRows lane rows and pt the transposed state matrix
-// (plane i = state bit i across lanes). The batched-draw sampler builds
-// these directly from column-major PRNG draws. All three plane arrays
-// are clobbered.
+// states. Inputs arrive in plane form: keyLo holds key words 0..3 and
+// keyHi words 4..7 (the word order NewCipher64 takes, key[0] = k7),
+// plane 16j+b of each = bit b of its j-th word across the 64 lanes; pt
+// holds state bit i across the lanes in plane i. The batched-draw
+// sampler builds these directly from column-major PRNG draws. All three
+// plane arrays are clobbered.
 func EncryptDiffPlanes64(keyLo, keyHi, pt *[64]uint64, delta uint64, n int, out *[64]uint64) {
 	if n < 0 || n > Rounds64 {
 		panic(fmt.Sprintf("gift: invalid GIFT-64 round count %d", n))
 	}
-	encryptDiffPlanes(keyLo, keyHi, pt, delta, n, out)
-}
-
-func encryptDiffPlanes(mkLo, mkHi, sa *[64]uint64, delta uint64, n int, out *[64]uint64) {
-	slots := keySlots(mkLo, mkHi)
+	slots := keySlots(keyLo, keyHi)
 
 	// The δ-partner is the same state matrix with the planes where
 	// delta has a 1 complemented.
-	sb := *sa
+	sb := *pt
 	for i := uint(0); i < 64; i++ {
 		sb[i] ^= -(delta >> i & 1)
 	}
 	var ta, tb [64]uint64
-	fa, fb := encryptSlicedStates(slots, sa, &ta, &sb, &tb, n)
+	fa, fb := encryptSlicedStates(slots, pt, &ta, &sb, &tb, n)
 
 	// Output difference, planes → lanes (Transpose64 is an involution).
 	var od [64]uint64

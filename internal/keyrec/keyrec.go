@@ -151,10 +151,11 @@ func LastRoundAttack(c *speck.Cipher, dist *nn.Network, cfg Config) (*Result, er
 	return res, nil
 }
 
-// distForward runs the network in inference mode. Layers cache no
-// state with train=false, but they are still not safe for concurrent
-// use on one instance — each call here happens on a worker-local batch
-// matrix while the network weights are only read, which is safe.
+// distForward runs the network in inference mode. The workers share one
+// network: with train=false its dense and activation layers write no
+// layer state, each call runs on a worker-local batch matrix, and the
+// weights are only read (pinned under -race by internal/nn's
+// TestConcurrentInference).
 func distForward(dist *nn.Network, x *nn.Matrix) *nn.Matrix {
 	return dist.Forward(x, false)
 }

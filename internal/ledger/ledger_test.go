@@ -20,7 +20,7 @@ func testRecord(i int) Record {
 		kind = KindAdmit
 	}
 	return Record{
-		Time:     int64(1_700_000_000_000_000_000 + i),
+		Time:     1_700_000_000_000_000_000 + int64(i),
 		Kind:     kind,
 		Model:    fmt.Sprintf("speck%d", i%5),
 		Version:  1 + i%4,

@@ -2,11 +2,11 @@
 
 package nn
 
-import "repro/internal/bits"
+import "repro/internal/cpu"
 
 // useMulAVX2 gates the AVX2 matrix micro-kernels. It is a variable so
 // tests can force the scalar path and compare bit for bit.
-var useMulAVX2 = bits.HasAVX2()
+var useMulAVX2 = cpu.HasAVX2()
 
 //go:noescape
 func dotNT4x4AVX2(a0, a1, b0, b1 *float64, k4 int, s *[4][4]float64)

@@ -94,21 +94,22 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s got input width %d", d.Name(), x.Cols))
 	}
-	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
-	wm := &d.wm
 	var out *Matrix
 	if train || d.scratchEval {
 		if train {
 			d.x = x
 		}
+		d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 		d.out = ensureMatrix(d.out, x.Rows, d.Out)
 		if d.seq {
-			out = mulIntoSeq(d.out, x, wm)
+			out = mulIntoSeq(d.out, x, &d.wm)
 		} else {
-			out = MulInto(d.out, x, wm)
+			out = MulInto(d.out, x, &d.wm)
 		}
 	} else {
-		out = Mul(x, wm)
+		// Plain inference writes no layer field, so concurrent
+		// Forward(x, false) calls on one network are safe.
+		out = Mul(x, &Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W})
 	}
 	out.AddRowVector(d.b.W)
 	return out

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/prng"
@@ -312,6 +314,50 @@ func TestPredictOneMatchesBatch(t *testing.T) {
 		if one := net.PredictOne(x.Row(i)); one != batch[i] {
 			t.Fatalf("PredictOne(%d) = %d, batch says %d", i, one, batch[i])
 		}
+	}
+}
+
+// TestConcurrentInference: several goroutines may run Forward(x, false)
+// and Predict on one network at once (keyrec's LastRoundAttack does), so
+// plain inference must write no layer state. Under -race a shared write
+// fails the test; every answer must also match the serial one.
+func TestConcurrentInference(t *testing.T) {
+	r := prng.New(11)
+	net, err := MLP(32, []int{16, 16}, 2, ReLU, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randMatrix(r, 24, 32)
+	want := net.Forward(x, false)
+	wantPred := net.Predict(x)
+	const workers = 4
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got := net.Forward(x, false)
+				for j, v := range got.Data {
+					if v != want.Data[j] {
+						errs <- fmt.Errorf("Forward output %d = %v, serial %v", j, v, want.Data[j])
+						return
+					}
+				}
+				for j, c := range net.Predict(x) {
+					if c != wantPred[j] {
+						errs <- fmt.Errorf("Predict row %d = %d, serial %d", j, c, wantPred[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -87,7 +87,7 @@ type fitState struct {
 	m     int
 	step  uint64
 
-	cursor  int64
+	cursor  atomic.Int64
 	startCh chan struct{}
 	wg      sync.WaitGroup
 }
@@ -196,7 +196,7 @@ func (st *fitState) stopPool() {
 // divided by m) and the correct-prediction count.
 func (st *fitState) runStep(x *Matrix, y []int, order []int, start, m int, step uint64) (lossSum float64, hits int) {
 	st.x, st.y, st.order, st.start, st.m, st.step = x, y, order, start, m, step
-	atomic.StoreInt64(&st.cursor, 0)
+	st.cursor.Store(0)
 	if st.startCh != nil {
 		st.wg.Add(st.workers - 1)
 		for i := 1; i < st.workers; i++ {
@@ -234,7 +234,7 @@ func reduceGradTree(grads [][][]float64) {
 // runWorker claims shards until the step's cursor is exhausted.
 func (st *fitState) runWorker(w int) {
 	for {
-		v := int(atomic.AddInt64(&st.cursor, 1)) - 1
+		v := int(st.cursor.Add(1)) - 1
 		if v >= fitShards {
 			return
 		}

@@ -6,10 +6,9 @@ package prng
 // substream NewStream(base, j) and draws a handful of words from it.
 // Seeding costs four SplitMix64 steps per row and each word costs one
 // xoshiro256** step — all pure 64-bit ALU work on independent streams,
-// which vectorizes as four streams per YMM register. DrawWords64 and
-// DrawWords64Strided expose that batch shape: seed `rows` consecutive
-// (or strided) substreams of one base seed and emit each stream's first
-// `wordsPerRow` outputs in one call.
+// which vectorizes as four streams per YMM register. DrawWords64Strided
+// exposes that batch shape: seed `rows` strided substreams of one base
+// seed and emit each stream's first `wordsPerRow` outputs in one call.
 //
 // Output is column-major: out[w*rows+r] is word w of stream
 // firstStream + r*stride. Columns keep the four lanes of an AVX2 group
@@ -31,57 +30,18 @@ func checkDrawShape(rows, wordsPerRow, outLen int) {
 	}
 }
 
-// DrawWords64 seeds the `rows` consecutive substreams base/firstStream,
-// base/firstStream+1, … and writes each stream's first wordsPerRow
-// Uint64 outputs into out, column-major: out[w*rows+r] is word w of
-// stream firstStream+r.
-func DrawWords64(base, firstStream uint64, rows, wordsPerRow int, out []uint64) {
-	DrawWords64Strided(base, firstStream, 1, rows, wordsPerRow, out)
-}
-
-// DrawWords64Strided is DrawWords64 over the arithmetic progression of
-// streams firstStream + r*stride. Sliced dataset windows interleave two
-// classes over alternating rows, so their per-class draws use stride 2.
+// DrawWords64Strided seeds the `rows` substreams base/firstStream,
+// base/firstStream+stride, base/firstStream+2·stride, … and writes each
+// stream's first wordsPerRow Uint64 outputs into out, column-major:
+// out[w*rows+r] is word w of stream firstStream+r*stride. Sliced
+// dataset windows interleave two classes over alternating rows, so
+// their per-class draws use stride 2.
 func DrawWords64Strided(base, firstStream, stride uint64, rows, wordsPerRow int, out []uint64) {
 	checkDrawShape(rows, wordsPerRow, len(out))
 	if rows == 0 || wordsPerRow == 0 {
 		return
 	}
 	drawWords(base, firstStream, stride, rows, wordsPerRow, out)
-}
-
-// DrawUint16s is the Uint16-valued view of DrawWords64: out[w*rows+r]
-// is the w'th Uint16 draw of stream firstStream+r (the top 16 bits of
-// the w'th Uint64, matching Rand.Uint16).
-func DrawUint16s(base, firstStream uint64, rows, wordsPerRow int, out []uint16) {
-	checkDrawShape(rows, wordsPerRow, len(out))
-	if rows == 0 || wordsPerRow == 0 {
-		return
-	}
-	var stack [512]uint64
-	buf := stack[:]
-	c := len(buf) / wordsPerRow
-	if c == 0 {
-		buf = make([]uint64, wordsPerRow)
-		c = 1
-	}
-	if c > rows {
-		c = rows
-	}
-	for r0 := 0; r0 < rows; r0 += c {
-		n := rows - r0
-		if n > c {
-			n = c
-		}
-		DrawWords64Strided(base, firstStream+uint64(r0), 1, n, wordsPerRow, buf[:n*wordsPerRow])
-		for w := 0; w < wordsPerRow; w++ {
-			col := buf[w*n : w*n+n]
-			dst := out[w*rows+r0:]
-			for i, v := range col {
-				dst[i] = uint16(v >> 48)
-			}
-		}
-	}
 }
 
 // drawWordsScalar is the portable reference: per row, StreamSeeder.Seed

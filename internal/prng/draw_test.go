@@ -95,41 +95,10 @@ func TestDrawWords64MatchesPerRowDraws(t *testing.T) {
 	}
 }
 
-func TestDrawWords64Unstrided(t *testing.T) {
-	const rows, words = 13, 5
-	want := make([]uint64, rows*words)
-	got := make([]uint64, rows*words)
-	DrawWords64Strided(77, 9, 1, rows, words, want)
-	DrawWords64(77, 9, rows, words, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DrawWords64 diverges from stride-1 DrawWords64Strided at %d", i)
-		}
-	}
-}
-
-func TestDrawUint16s(t *testing.T) {
-	for _, sh := range []struct{ rows, words int }{
-		{1, 1}, {6, 3}, {64, 6}, {130, 4}, {3, 600}, // 600 words forces the heap-chunk path
-	} {
-		words64 := drawOracle(2021, 5, 1, sh.rows, sh.words)
-		got := make([]uint16, sh.rows*sh.words)
-		DrawUint16s(2021, 5, sh.rows, sh.words, got)
-		for i, v := range words64 {
-			if got[i] != uint16(v>>48) {
-				t.Fatalf("DrawUint16s rows=%d words=%d: out[%d] = %#x, want %#x",
-					sh.rows, sh.words, i, got[i], uint16(v>>48))
-			}
-		}
-	}
-}
-
 func TestDrawZeroShapes(t *testing.T) {
 	// Zero rows or words must be a no-op, not a panic.
-	DrawWords64(1, 0, 0, 5, nil)
-	DrawWords64(1, 0, 5, 0, nil)
-	DrawUint16s(1, 0, 0, 5, nil)
-	DrawUint16s(1, 0, 5, 0, nil)
+	DrawWords64Strided(1, 0, 1, 0, 5, nil)
+	DrawWords64Strided(1, 0, 1, 5, 0, nil)
 }
 
 func TestDrawShapePanics(t *testing.T) {
@@ -142,10 +111,9 @@ func TestDrawShapePanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("negative rows", func() { DrawWords64(1, 0, -1, 1, nil) })
-	mustPanic("negative words", func() { DrawWords64(1, 0, 1, -1, nil) })
-	mustPanic("short out", func() { DrawWords64(1, 0, 4, 2, make([]uint64, 7)) })
-	mustPanic("short out u16", func() { DrawUint16s(1, 0, 4, 2, make([]uint16, 7)) })
+	mustPanic("negative rows", func() { DrawWords64Strided(1, 0, 1, -1, 1, nil) })
+	mustPanic("negative words", func() { DrawWords64Strided(1, 0, 1, 1, -1, nil) })
+	mustPanic("short out", func() { DrawWords64Strided(1, 0, 1, 4, 2, make([]uint64, 7)) })
 }
 
 func BenchmarkSeedStream(b *testing.B) {

@@ -3,6 +3,8 @@ package prng
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +53,41 @@ func TestIntnRange(t *testing.T) {
 				t.Fatalf("Intn(%d) = %d out of range", n, v)
 			}
 		}
+	}
+}
+
+// TestIntnRejectionLoop pins Intn's bias removal against Lemire's rule,
+// recomputed on a copy of the generator: the result is the high half of
+// x·n for the first draw x whose low half is at least (−n) mod n. At
+// n ≈ 0.75·MaxInt on a 64-bit platform that threshold is a quarter of
+// the 64-bit range, so about one draw in four is rejected.
+func TestIntnRejectionLoop(t *testing.T) {
+	n := math.MaxInt / 4 * 3
+	un := uint64(n)
+	thresh := -un % un
+	r := New(5)
+	const draws = 4000
+	rejected := 0
+	for i := 0; i < draws; i++ {
+		ref := *r
+		var want uint64
+		for {
+			hi, lo := mathbits.Mul64(ref.Uint64(), un)
+			if lo >= thresh {
+				want = hi
+				break
+			}
+			rejected++
+		}
+		if got := r.Intn(n); uint64(got) != want {
+			t.Fatalf("draw %d: Intn(%d) = %d, Lemire's rule gives %d", i, n, got, want)
+		}
+		if *r != ref {
+			t.Fatalf("draw %d: Intn consumed a different number of outputs than the rule", i)
+		}
+	}
+	if strconv.IntSize == 64 && rejected < draws/8 {
+		t.Fatalf("only %d of %d draws rejected; the loop went unexercised", rejected, draws)
 	}
 }
 

@@ -1,7 +1,7 @@
 package simeck
 
 // This file implements the bitsliced ×64 SIMECK-32/64 differential
-// kernels behind the dataset-generation fast path — the SIMON sliced
+// kernel behind the dataset-generation fast path — the SIMON sliced
 // architecture with SIMECK's round map
 //
 //	x, y ← y ⊕ f(x) ⊕ k, x     with f(x) = (x & x⋘5) ⊕ x⋘1
@@ -21,48 +21,12 @@ import (
 	"repro/internal/bits"
 )
 
-// SlicedLanes is the lane count of the sliced kernels.
+// SlicedLanes is the lane count of EncryptCrossDiffPlanes64.
 const SlicedLanes = 64
 
-// PackKeyRow packs the 4-word key (t2, t1, t0, k0) — the word order New
-// takes — into the 64-bit lane row the sliced kernels consume.
-func PackKeyRow(k Key) uint64 {
-	return uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
-}
-
-// PackBlockRow packs a block into the X ‖ Y<<16 lane row the sliced
-// kernels consume — the packed-row bit layout the SIMECK scenario
-// datasets use.
-func PackBlockRow(b Block) uint32 { return uint32(b.X) | uint32(b.Y)<<16 }
-
-// EncryptDiffSliced64 is the fused single-key differential-sampler
-// kernel: for each lane l it computes
-//
-//	EncryptRounds(p[l], n) ⊕ EncryptRounds(p[l] ⊕ delta, n)
-//
-// under lane l's own key schedule, returning the 64 output differences
-// as X ‖ Y<<16 words. Neither input array is modified.
-func EncryptDiffSliced64(keyRows *[64]uint64, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("simeck: invalid round count %d", n))
-	}
-	encryptDiffSliced(keyRows, Key{}, ptRows, delta, n, out)
-}
-
-// EncryptCrossDiffSliced64 is the related-key variant: lane l's second
-// state is encrypted under K[l] ⊕ keyDelta, with a full second schedule
-// chain derived from the complemented key planes. keyDelta zero
-// degenerates to the single-key kernel (one shared schedule chain).
-func EncryptCrossDiffSliced64(keyRows *[64]uint64, keyDelta Key, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("simeck: invalid round count %d", n))
-	}
-	encryptDiffSliced(keyRows, keyDelta, ptRows, delta, n, out)
-}
-
 // keyRegs views a transposed 64×64 key matrix as the schedule's
-// register file (k, t0, t1, t2): PackKeyRow puts key[3] = k0 in the
-// top plane group and key[0] = t2 in the bottom one.
+// register file (k, t0, t1, t2): key word 3 = k0 sits in the top plane
+// group and key word 0 = t2 in the bottom one.
 func keyRegs(m *[64]uint64) [4]*[16]uint64 {
 	return [4]*[16]uint64{
 		(*[16]uint64)(m[48:64]), // k  = key[3]
@@ -96,34 +60,26 @@ func feistelRound(nx, x, y, rk *[16]uint64) {
 	}
 }
 
-func encryptDiffSliced(keyRows *[64]uint64, keyDelta Key, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	// Lane rows → planes, then the plane-form kernel.
-	ma := *keyRows
-	bits.Transpose64(&ma)
-	var mp [32]uint64
-	bits.TransposeRows32(ptRows, &mp)
-	encryptDiffPlanes(&ma, keyDelta, &mp, delta, n, out)
-}
-
-// EncryptCrossDiffPlanes64 is EncryptCrossDiffSliced64 for callers that
-// already hold the inputs in plane form: keyPlanes is the transposed
-// 64×64 key matrix (plane group 16w..16w+15 = bits of key word w across
-// lanes, the Transpose64 image of PackKeyRow rows) and ptPlanes the
-// 32-plane plaintext (planes 0..15 = X bits, 16..31 = Y bits, the
-// TransposeRows32 image of PackBlockRow rows). The batched-draw sampler
-// builds these directly from column-major PRNG draws via
-// bits.TransposeTop16Pair, skipping the per-row pack + transpose. Both
-// plane arrays are clobbered.
+// EncryptCrossDiffPlanes64 is the fused related-key differential-sampler
+// kernel: for each lane l it computes
+//
+//	EncryptRounds_K[l](p[l], n) ⊕ EncryptRounds_{K[l] ⊕ keyDelta}(p[l] ⊕ delta, n)
+//
+// returning the 64 output differences as X ‖ Y<<16 words. The second
+// state runs a full second schedule chain derived from the complemented
+// key planes; keyDelta zero degenerates to the single-key kernel (one
+// shared schedule chain). Inputs arrive in plane form: keyPlanes holds
+// bit b of key word w (the word order New takes) across the 64 lanes in
+// plane 16w+b, and ptPlanes the plaintexts, planes 0..15 the X bits and
+// 16..31 the Y bits. The batched-draw sampler builds both directly from
+// column-major PRNG draws via bits.TransposeTop16Pair. Both plane arrays
+// are clobbered.
 func EncryptCrossDiffPlanes64(keyPlanes *[64]uint64, keyDelta Key, ptPlanes *[32]uint64, delta Block, n int, out *[64]uint32) {
 	if n < 0 || n > Rounds {
 		panic(fmt.Sprintf("simeck: invalid round count %d", n))
 	}
-	encryptDiffPlanes(keyPlanes, keyDelta, ptPlanes, delta, n, out)
-}
-
-func encryptDiffPlanes(ma *[64]uint64, keyDelta Key, mp *[32]uint64, delta Block, n int, out *[64]uint32) {
 	// Schedule register file viewed in place over the key planes.
-	ra := keyRegs(ma)
+	ra := keyRegs(keyPlanes)
 	// rb must point AT ra when the key is shared — schedStep rotates
 	// the register array, so a copy of it would go stale after round 0.
 	rb := &ra
@@ -131,7 +87,7 @@ func encryptDiffPlanes(ma *[64]uint64, keyDelta Key, mp *[32]uint64, delta Block
 	var rbOwn [4]*[16]uint64
 	sameKey := keyDelta.IsZero()
 	if !sameKey {
-		mb = *ma
+		mb = *keyPlanes
 		for w := 0; w < KeyWords; w++ {
 			for b := uint(0); b < 16; b++ {
 				mb[16*w+int(b)] ^= -uint64(keyDelta[w] >> b & 1)
@@ -144,7 +100,7 @@ func encryptDiffPlanes(ma *[64]uint64, keyDelta Key, mp *[32]uint64, delta Block
 	// The δ-partner differs by a complement of the planes where delta
 	// has a 1.
 	var ta, xbb, ybb, tb [16]uint64
-	xa, ya := (*[16]uint64)(mp[0:16]), (*[16]uint64)(mp[16:32])
+	xa, ya := (*[16]uint64)(ptPlanes[0:16]), (*[16]uint64)(ptPlanes[16:32])
 	xb, yb := &xbb, &ybb
 	for i := uint(0); i < 16; i++ {
 		xb[i] = xa[i] ^ -uint64(delta.X>>i&1)

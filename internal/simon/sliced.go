@@ -1,9 +1,9 @@
 package simon
 
 // This file implements the bitsliced ×64 SIMON-32/64 differential
-// kernels behind the dataset-generation fast path, extending the PR 6
-// SPECK bitslice architecture to the AND-RX Feistel: 64 independent
-// (key, plaintext) lanes are transposed into bit-plane form — plane i
+// kernel behind the dataset-generation fast path, extending the SPECK
+// bitslice architecture to the AND-RX Feistel: 64 independent
+// (key, plaintext) lanes arrive in bit-plane form — plane i
 // holds bit i of a 16-bit word across all 64 lanes — and the round map
 //
 //	x, y ← y ⊕ f(x) ⊕ k, x     with f(x) = (x⋘1 & x⋘8) ⊕ x⋘2
@@ -11,7 +11,7 @@ package simon
 // costs one AND and three XORs per bit plane, with every rotation a
 // renaming of plane indices. The key schedule runs in plane form too,
 // as a four-slot ring over the transposed key matrix, with the constant
-// 0xfffc ⊕ z0 a branchless plane complement. Both kernels are
+// 0xfffc ⊕ z0 a branchless plane complement. The kernel is
 // bit-identical to the scalar path by construction; sliced_test.go
 // pins lane-for-lane equality against two scalar EncryptRounds calls
 // for every round count, difference and key difference.
@@ -22,50 +22,12 @@ import (
 	"repro/internal/bits"
 )
 
-// SlicedLanes is the lane count of the sliced kernels.
+// SlicedLanes is the lane count of EncryptCrossDiffPlanes64.
 const SlicedLanes = 64
 
-// PackKeyRow packs the 4-word key (k3, k2, k1, k0) — the word order New
-// takes — into the 64-bit lane row the sliced kernels consume.
-func PackKeyRow(k Key) uint64 {
-	return uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
-}
-
-// PackBlockRow packs a block into the X ‖ Y<<16 lane row the sliced
-// kernels consume — the packed-row bit layout the SIMON scenario
-// datasets use.
-func PackBlockRow(b Block) uint32 { return uint32(b.X) | uint32(b.Y)<<16 }
-
-// EncryptDiffSliced64 is the fused single-key differential-sampler
-// kernel: for each lane l it computes
-//
-//	EncryptRounds(p[l], n) ⊕ EncryptRounds(p[l] ⊕ delta, n)
-//
-// under lane l's own key schedule, returning the 64 output differences
-// as X ‖ Y<<16 words. Inputs arrive as packed lane rows — PackKeyRow /
-// PackBlockRow, built for free while the sampler draws its random
-// words — and neither input array is modified.
-func EncryptDiffSliced64(keyRows *[64]uint64, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("simon: invalid round count %d", n))
-	}
-	encryptDiffSliced(keyRows, Key{}, ptRows, delta, n, out)
-}
-
-// EncryptCrossDiffSliced64 is the related-key variant: lane l's second
-// state is encrypted under K[l] ⊕ keyDelta, with a full second schedule
-// chain derived from the complemented key planes. keyDelta zero
-// degenerates to the single-key kernel (one shared schedule chain).
-func EncryptCrossDiffSliced64(keyRows *[64]uint64, keyDelta Key, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("simon: invalid round count %d", n))
-	}
-	encryptDiffSliced(keyRows, keyDelta, ptRows, delta, n, out)
-}
-
 // schedSlots views a transposed 64×64 key matrix as the four-slot
-// round-key ring the schedule recurrence runs over: PackKeyRow puts
-// key[3] = k0 = rk0 in the top plane group, and rk[i] for i ≥ 4
+// round-key ring the schedule recurrence runs over: key word 3 = k0 =
+// rk0 sits in the top plane group, and rk[i] for i ≥ 4
 // overwrites slot i&3 (which held rk[i−4]) in place.
 func schedSlots(m *[64]uint64) [4]*[16]uint64 {
 	return [4]*[16]uint64{
@@ -109,41 +71,33 @@ func feistelRound(nx, x, y, rk *[16]uint64) {
 	}
 }
 
-func encryptDiffSliced(keyRows *[64]uint64, keyDelta Key, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	// Lane rows → planes, then the plane-form kernel.
-	ma := *keyRows
-	bits.Transpose64(&ma)
-	var mp [32]uint64
-	bits.TransposeRows32(ptRows, &mp)
-	encryptDiffPlanes(&ma, keyDelta, &mp, delta, n, out)
-}
-
-// EncryptCrossDiffPlanes64 is EncryptCrossDiffSliced64 for callers that
-// already hold the inputs in plane form: keyPlanes is the transposed
-// 64×64 key matrix (plane group 16w..16w+15 = bits of key word w across
-// lanes, the Transpose64 image of PackKeyRow rows) and ptPlanes the
-// 32-plane plaintext (planes 0..15 = X bits, 16..31 = Y bits, the
-// TransposeRows32 image of PackBlockRow rows). The batched-draw sampler
-// builds these directly from column-major PRNG draws via
-// bits.TransposeTop16Pair, skipping the per-row pack + transpose. Both
-// plane arrays are clobbered.
+// EncryptCrossDiffPlanes64 is the fused related-key differential-sampler
+// kernel: for each lane l it computes
+//
+//	EncryptRounds_K[l](p[l], n) ⊕ EncryptRounds_{K[l] ⊕ keyDelta}(p[l] ⊕ delta, n)
+//
+// returning the 64 output differences as X ‖ Y<<16 words. The second
+// state runs a full second schedule chain derived from the complemented
+// key planes; keyDelta zero degenerates to the single-key kernel (one
+// shared schedule chain). Inputs arrive in plane form: keyPlanes holds
+// bit b of key word w (the word order New takes) across the 64 lanes in
+// plane 16w+b, and ptPlanes the plaintexts, planes 0..15 the X bits and
+// 16..31 the Y bits. The batched-draw sampler builds both directly from
+// column-major PRNG draws via bits.TransposeTop16Pair. Both plane arrays
+// are clobbered.
 func EncryptCrossDiffPlanes64(keyPlanes *[64]uint64, keyDelta Key, ptPlanes *[32]uint64, delta Block, n int, out *[64]uint32) {
 	if n < 0 || n > Rounds {
 		panic(fmt.Sprintf("simon: invalid round count %d", n))
 	}
-	encryptDiffPlanes(keyPlanes, keyDelta, ptPlanes, delta, n, out)
-}
-
-func encryptDiffPlanes(ma *[64]uint64, keyDelta Key, mp *[32]uint64, delta Block, n int, out *[64]uint32) {
 	// Schedule ring viewed in place over the key planes.
-	ska := schedSlots(ma)
+	ska := schedSlots(keyPlanes)
 	skb := ska
 	var mb [64]uint64
 	sameKey := keyDelta.IsZero()
 	if !sameKey {
 		// The second chain's key planes are the first's with the ∇
 		// planes complemented; it then runs its own schedule ring.
-		mb = *ma
+		mb = *keyPlanes
 		for w := 0; w < KeyWords; w++ {
 			for b := uint(0); b < 16; b++ {
 				mb[16*w+int(b)] ^= -uint64(keyDelta[w] >> b & 1)
@@ -155,7 +109,7 @@ func encryptDiffPlanes(ma *[64]uint64, keyDelta Key, mp *[32]uint64, delta Block
 	// The δ-partner differs by a complement of the planes where delta
 	// has a 1.
 	var ta, xbb, ybb, tb [16]uint64
-	xa, ya := (*[16]uint64)(mp[0:16]), (*[16]uint64)(mp[16:32])
+	xa, ya := (*[16]uint64)(ptPlanes[0:16]), (*[16]uint64)(ptPlanes[16:32])
 	xb, yb := &xbb, &ybb
 	for i := uint(0); i < 16; i++ {
 		xb[i] = xa[i] ^ -uint64(delta.X>>i&1)

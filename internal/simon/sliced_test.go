@@ -1,7 +1,7 @@
-// Tests for the bitsliced ×64 SIMON kernels: bit-identity with the
+// Tests for the bitsliced ×64 SIMON kernel: bit-identity with the
 // scalar path is checked lane by lane, across random keys, random
 // plaintext and key differences, and every round count, so the dataset
-// fast path can trust the sliced kernels blindly.
+// fast path can trust EncryptCrossDiffPlanes64 blindly.
 package simon_test
 
 import (
@@ -24,9 +24,10 @@ type slicedCase struct {
 	Rounds int
 }
 
-// slicedCases generates random 64-lane inputs. Shrinking zeroes one
-// lane at a time so a failure reports the minimal set of live lanes.
-func slicedCases() testkit.Gen[slicedCase] {
+// slicedCases generates random 64-lane inputs whose (δ, ∇) pair comes
+// from diffs. Shrinking zeroes one lane at a time so a failure reports
+// the minimal set of live lanes.
+func slicedCases(diffs func(r *prng.Rand) (simon.Block, simon.Key)) testkit.Gen[slicedCase] {
 	return testkit.Gen[slicedCase]{
 		Name: "64-lane simon case",
 		Generate: func(r *prng.Rand) slicedCase {
@@ -37,8 +38,7 @@ func slicedCases() testkit.Gen[slicedCase] {
 				}
 				c.Blocks[l] = simon.Block{X: r.Uint16(), Y: r.Uint16()}
 			}
-			c.Delta = simon.Block{X: r.Uint16(), Y: r.Uint16()}
-			c.KeyD = simon.Key{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()}
+			c.Delta, c.KeyD = diffs(r)
 			c.Rounds = int(r.Uint64() % (simon.Rounds + 1))
 			return c
 		},
@@ -71,6 +71,20 @@ func slicedCases() testkit.Gen[slicedCase] {
 	}
 }
 
+// randomDelta is a uniformly random plaintext difference.
+func randomDelta(r *prng.Rand) simon.Block {
+	return simon.Block{X: r.Uint16(), Y: r.Uint16()}
+}
+
+// randomKeyD is a uniformly random nonzero key difference.
+func randomKeyD(r *prng.Rand) simon.Key {
+	k := simon.Key{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()}
+	if k.IsZero() {
+		k[3] = 1
+	}
+	return k
+}
+
 // scalarDiff is the oracle: the per-lane output difference of two
 // scalar EncryptRounds calls under K and K ⊕ keyD, in the packed
 // X ‖ Y<<16 row layout.
@@ -82,110 +96,109 @@ func scalarDiff(k simon.Key, p simon.Block, delta simon.Block, keyD simon.Key, r
 	return uint32(d.X) | uint32(d.Y)<<16
 }
 
-// TestEncryptDiffSliced64 pins the single-key kernel lane for lane
-// against the scalar oracle.
+// planes builds EncryptCrossDiffPlanes64's inputs: each lane's key
+// packed as words 0..3 in 16-bit fields and its block as X ‖ Y<<16,
+// then transposed.
+func planes(keys *[64]simon.Key, blocks *[64]simon.Block) (kp [64]uint64, pp [32]uint64) {
+	var pt [64]uint32
+	for l, k := range keys {
+		kp[l] = uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
+		pt[l] = uint32(blocks[l].X) | uint32(blocks[l].Y)<<16
+	}
+	bits.Transpose64(&kp)
+	bits.TransposeRows32(&pt, &pp)
+	return
+}
+
+// matchesScalar runs the kernel on c and compares every lane with the
+// scalar oracle under K and K ⊕ ∇.
+func matchesScalar(c slicedCase) error {
+	kp, pp := planes(&c.Keys, &c.Blocks)
+	var out [64]uint32
+	simon.EncryptCrossDiffPlanes64(&kp, c.KeyD, &pp, c.Delta, c.Rounds, &out)
+	for l := 0; l < 64; l++ {
+		want := scalarDiff(c.Keys[l], c.Blocks[l], c.Delta, c.KeyD, c.Rounds)
+		if out[l] != want {
+			return fmt.Errorf("lane %d over %d rounds ∇=%04x: diff %08x vs scalar %08x",
+				l, c.Rounds, c.KeyD, out[l], want)
+		}
+	}
+	return nil
+}
+
+// TestEncryptDiffSliced64 pins the single-key path (∇ = 0, where both
+// states share one schedule chain) lane for lane against the scalar
+// oracle for random δ.
 func TestEncryptDiffSliced64(t *testing.T) {
-	testkit.Check(t, "simon-sliced-diff", slicedCases(), func(c slicedCase) error {
-		var keyRows [64]uint64
-		var ptRows [64]uint32
-		for l := 0; l < 64; l++ {
-			keyRows[l] = simon.PackKeyRow(c.Keys[l])
-			ptRows[l] = simon.PackBlockRow(c.Blocks[l])
-		}
-		var out [64]uint32
-		simon.EncryptDiffSliced64(&keyRows, &ptRows, c.Delta, c.Rounds, &out)
-		for l := 0; l < 64; l++ {
-			want := scalarDiff(c.Keys[l], c.Blocks[l], c.Delta, simon.Key{}, c.Rounds)
-			if out[l] != want {
-				return fmt.Errorf("lane %d over %d rounds: diff %08x vs scalar %08x", l, c.Rounds, out[l], want)
-			}
-		}
-		return nil
-	})
+	testkit.Check(t, "simon-sliced-diff", slicedCases(func(r *prng.Rand) (simon.Block, simon.Key) {
+		return randomDelta(r), simon.Key{}
+	}), matchesScalar)
 }
 
-// TestEncryptCrossDiffSliced64 pins the related-key kernel — two full
-// schedule chains — against the scalar oracle under K ⊕ ∇, including
-// the ∇ = 0 degeneration.
+// TestEncryptCrossDiffSliced64 pins the related-key path (∇ ≠ 0, two
+// full schedule chains) lane for lane against the scalar oracle for
+// random δ and ∇.
 func TestEncryptCrossDiffSliced64(t *testing.T) {
-	testkit.Check(t, "simon-sliced-cross-diff", slicedCases(), func(c slicedCase) error {
-		var keyRows [64]uint64
-		var ptRows [64]uint32
-		for l := 0; l < 64; l++ {
-			keyRows[l] = simon.PackKeyRow(c.Keys[l])
-			ptRows[l] = simon.PackBlockRow(c.Blocks[l])
-		}
-		var out [64]uint32
-		simon.EncryptCrossDiffSliced64(&keyRows, c.KeyD, &ptRows, c.Delta, c.Rounds, &out)
-		for l := 0; l < 64; l++ {
-			want := scalarDiff(c.Keys[l], c.Blocks[l], c.Delta, c.KeyD, c.Rounds)
-			if out[l] != want {
-				return fmt.Errorf("lane %d over %d rounds ∇=%04x: diff %08x vs scalar %08x",
-					l, c.Rounds, c.KeyD, out[l], want)
-			}
-		}
-		return nil
-	})
+	testkit.Check(t, "simon-sliced-cross-diff", slicedCases(func(r *prng.Rand) (simon.Block, simon.Key) {
+		return randomDelta(r), randomKeyD(r)
+	}), matchesScalar)
 }
 
-// TestEncryptCrossDiffPlanes64 pins the plane-form entry against the
-// row-form kernel: transposing the packed rows by hand and calling the
-// planes entry must reproduce EncryptCrossDiffSliced64 exactly.
+// TestEncryptCrossDiffPlanes64 pins the kernel on the sparse
+// differences the registered scenarios sample with — (NDDelta, 0) and
+// (NDDelta, LuKeyDelta) are single bits — which uniformly random
+// differences almost never are: δ is one random bit and ∇ is zero or
+// one random bit.
 func TestEncryptCrossDiffPlanes64(t *testing.T) {
-	testkit.Check(t, "simon-sliced-planes", slicedCases(), func(c slicedCase) error {
-		var keyRows [64]uint64
-		var ptRows [64]uint32
-		for l := 0; l < 64; l++ {
-			keyRows[l] = simon.PackKeyRow(c.Keys[l])
-			ptRows[l] = simon.PackBlockRow(c.Blocks[l])
+	testkit.Check(t, "simon-sliced-sparse-diff", slicedCases(func(r *prng.Rand) (simon.Block, simon.Key) {
+		d := uint32(1) << (r.Uint64() % 32)
+		var k simon.Key
+		if r.Uint64()%2 == 1 {
+			b := r.Uint64() % 64
+			k[b/16] = 1 << (b % 16)
 		}
-		var want [64]uint32
-		simon.EncryptCrossDiffSliced64(&keyRows, c.KeyD, &ptRows, c.Delta, c.Rounds, &want)
-		ma := keyRows
-		bits.Transpose64(&ma)
-		var mp [32]uint64
-		bits.TransposeRows32(&ptRows, &mp)
-		var got [64]uint32
-		simon.EncryptCrossDiffPlanes64(&ma, c.KeyD, &mp, c.Delta, c.Rounds, &got)
-		if got != want {
-			return fmt.Errorf("plane-form entry differs from row-form kernel")
-		}
-		return nil
-	})
+		return simon.Block{X: uint16(d), Y: uint16(d >> 16)}, k
+	}), matchesScalar)
 }
 
-func TestEncryptDiffSliced64RangeCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EncryptDiffSliced64 accepted 33 rounds")
-		}
-	}()
-	var keyRows [64]uint64
-	var ptRows [64]uint32
-	var out [64]uint32
-	simon.EncryptDiffSliced64(&keyRows, &ptRows, simon.NDDelta, simon.Rounds+1, &out)
-}
-
-func TestEncryptCrossDiffSliced64RangeCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EncryptCrossDiffSliced64 accepted -1 rounds")
-		}
-	}()
-	var keyRows [64]uint64
-	var ptRows [64]uint32
-	var out [64]uint32
-	simon.EncryptCrossDiffSliced64(&keyRows, simon.LuKeyDelta, &ptRows, simon.NDDelta, -1, &out)
-}
-
-func TestEncryptCrossDiffPlanes64RangeCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EncryptCrossDiffPlanes64 accepted -1 rounds")
-		}
-	}()
+// rejects reports whether EncryptCrossDiffPlanes64 panics on n rounds
+// under key difference keyD.
+func rejects(keyD simon.Key, n int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
 	var keyPlanes [64]uint64
 	var ptPlanes [32]uint64
 	var out [64]uint32
-	simon.EncryptCrossDiffPlanes64(&keyPlanes, simon.LuKeyDelta, &ptPlanes, simon.NDDelta, -1, &out)
+	simon.EncryptCrossDiffPlanes64(&keyPlanes, keyD, &ptPlanes, simon.NDDelta, n, &out)
+	return false
+}
+
+// TestEncryptDiffSliced64RangeCheck: the single-key path rejects round
+// counts outside [0, Rounds].
+func TestEncryptDiffSliced64RangeCheck(t *testing.T) {
+	for _, n := range []int{-1, simon.Rounds + 1} {
+		if !rejects(simon.Key{}, n) {
+			t.Errorf("EncryptCrossDiffPlanes64 accepted %d rounds at ∇ = 0", n)
+		}
+	}
+}
+
+// TestEncryptCrossDiffSliced64RangeCheck: so does the related-key path.
+func TestEncryptCrossDiffSliced64RangeCheck(t *testing.T) {
+	for _, n := range []int{-1, simon.Rounds + 1} {
+		if !rejects(simon.LuKeyDelta, n) {
+			t.Errorf("EncryptCrossDiffPlanes64 accepted %d rounds at ∇ = LuKeyDelta", n)
+		}
+	}
+}
+
+// TestEncryptCrossDiffPlanes64RangeCheck: both ends of [0, Rounds] are
+// accepted on both paths.
+func TestEncryptCrossDiffPlanes64RangeCheck(t *testing.T) {
+	for _, keyD := range []simon.Key{{}, simon.LuKeyDelta} {
+		for _, n := range []int{0, simon.Rounds} {
+			if rejects(keyD, n) {
+				t.Errorf("EncryptCrossDiffPlanes64 rejected %d rounds at ∇ = %04x", n, keyD)
+			}
+		}
+	}
 }

@@ -1,8 +1,8 @@
 package speck
 
-// This file implements the bitsliced ×64 SPECK-32/64 kernel behind the
-// dataset-generation fast path: 64 independent (key, plaintext) lanes
-// are transposed into bit-plane form — plane i holds bit i of a 16-bit
+// This file implements the bitsliced SPECK-32/64 difference kernel
+// behind the dataset-generation fast path: independent (key, plaintext)
+// lanes arrive in bit-plane form — plane i holds bit i of a 16-bit
 // word across all 64 lanes — and the ARX round function is evaluated
 // once per plane, so every XOR, AND and carry step advances all 64
 // lanes simultaneously. Rotations cost nothing at all: they are a
@@ -14,7 +14,8 @@ package speck
 // every plane operation is the truth table of the corresponding scalar
 // word operation, with the 16-bit modular addition expanded into its
 // ripple-carry form — and sliced_test.go verifies lane-for-lane
-// equality against EncryptRounds for every round count.
+// equality against two scalar EncryptRounds calls for every round
+// count.
 
 import (
 	"fmt"
@@ -22,170 +23,53 @@ import (
 	"repro/internal/bits"
 )
 
-// SlicedState holds one 32-bit SPECK block for each of 64 lanes in
-// bit-plane form: bit l of X[i] is bit i of lane l's X word, and
-// likewise for Y.
-type SlicedState struct {
-	X, Y [16]uint64
-}
+// SlicedLanes is the lane count of EncryptDiffPlanes128, the width the
+// SPECK scenario's packed sampler batches by.
+const SlicedLanes = 128
 
-// SliceBlocks transposes 64 blocks (lane l = b[l]) into bit-plane form.
-// The state matrix has 32-bit rows, so the half-width transpose does
-// the job in half the butterflies of a full 64×64 one.
-func SliceBlocks(b *[64]Block) SlicedState {
-	var rows [64]uint32
-	for l, blk := range b {
-		rows[l] = uint32(blk.X) | uint32(blk.Y)<<16
-	}
-	var m [32]uint64
-	bits.TransposeRows32(&rows, &m)
-	var s SlicedState
-	copy(s.X[:], m[0:16])
-	copy(s.Y[:], m[16:32])
-	return s
-}
-
-// Unslice transposes the lanes back into 64 blocks.
-func (s *SlicedState) Unslice(out *[64]Block) {
-	var m [32]uint64
-	copy(m[0:16], s.X[:])
-	copy(m[16:32], s.Y[:])
-	var rows [64]uint32
-	bits.UntransposeRows32(&m, &rows)
-	for l, r := range rows {
-		out[l] = Block{X: uint16(r), Y: uint16(r >> 16)}
-	}
-}
-
-// XORConst XORs the same block into every lane. In plane form a
-// constant bit is all-64-lanes at once, so this is a complement of the
-// planes where the constant has a 1 — the cheap way to derive the
-// δ-partner state of a plaintext slice.
-func (s *SlicedState) XORConst(b Block) {
-	for i := uint(0); i < 16; i++ {
-		s.X[i] ^= -uint64(b.X >> i & 1)
-		s.Y[i] ^= -uint64(b.Y >> i & 1)
-	}
-}
-
-// XOR XORs o into s lane-wise — the output-difference step of the
-// differential sampler, still in plane form.
-func (s *SlicedState) XOR(o *SlicedState) {
-	for i := 0; i < 16; i++ {
-		s.X[i] ^= o.X[i]
-		s.Y[i] ^= o.Y[i]
-	}
-}
-
-// Sliced64 is a bitsliced SPECK-32/64 instance: 64 independent expanded
-// key schedules held as bit planes, ready to encrypt 64-lane states.
-type Sliced64 struct {
-	// rk[r][i] holds bit i of round key r across the 64 lanes.
-	rk [Rounds][16]uint64
-}
-
-// Expand computes the 64 full key schedules for keys[l] =
-// (l2, l1, l0, k0), the same word order New takes.
-func (s *Sliced64) Expand(keys *[64][4]uint16) { s.ExpandRounds(keys, Rounds) }
-
-// ExpandRounds computes only round keys 0 … n−1, entirely in plane
-// form: one transpose of the key material, then the scalar schedule
-// recurrence with the 16-bit addition in ripple-carry planes and the
-// round-counter XOR as plane complements. The round-reduced regimes
-// the distinguishers train on (5–8 rounds) need a quarter of the full
-// schedule, and the schedule's serial carry chain is the kernel's
-// longest dependency, so expanding lazily is a direct latency cut.
-func (s *Sliced64) ExpandRounds(keys *[64][4]uint16, n int) {
-	if n < 1 || n > Rounds {
-		panic(fmt.Sprintf("speck: invalid round count %d", n))
-	}
-	var m [64]uint64
-	for l, k := range keys {
-		m[l] = uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
-	}
-	bits.Transpose64(&m)
-	// l-chain ring buffer: the recurrence only ever reads l[i] three
-	// steps after writing it, so three plane slots suffice.
-	var lp [3][16]uint64
-	copy(lp[2][:], m[0:16])  // l2 = key[0]
-	copy(lp[1][:], m[16:32]) // l1 = key[1]
-	copy(lp[0][:], m[32:48]) // l0 = key[2]
-	copy(s.rk[0][:], m[48:64])
-	for i := 0; i < n-1; i++ {
-		li := &lp[i%3]
-		rkin := &s.rk[i]
-		rkout := &s.rk[i+1]
-		// One fused pass per schedule step:
-		//   l[i+3] = (rk[i] + RotR16(l[i], alpha)) ^ i   (ripple carry,
-		//            round counter as a branchless plane complement)
-		//   rk[i+1] = RotL16(rk[i], beta) ^ l[i+3]
-		// next cannot be written back into li mid-loop — later bits read
-		// li at the rotated index — so it lands in a temporary first.
-		var next [16]uint64
-		var c uint64
-		for bit := uint(0); bit < 16; bit++ {
-			av := li[(bit+alpha)&15]
-			bv := rkin[bit]
-			sm := av ^ bv
-			nb := sm ^ c ^ -(uint64(i) >> bit & 1)
-			c = (av & bv) | (c & sm)
-			next[bit] = nb
-			rkout[bit] = rkin[(bit-beta)&15] ^ nb
-		}
-		*li = next
-	}
-}
-
-// RoundKeyPlanes returns the planes of round key r, for tests.
-func (s *Sliced64) RoundKeyPlanes(r int) [16]uint64 { return s.rk[r] }
-
-// EncryptRounds applies the first n rounds to all 64 lanes in place,
-// bit-identical to 64 scalar EncryptRounds calls lane by lane. n must
-// be in [0, 22].
-func (s *Sliced64) EncryptRounds(st *SlicedState, n int) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("speck: invalid round count %d", n))
-	}
-	for r := 0; r < n; r++ {
-		rk := &s.rk[r]
-		// x ← (x ⋙ alpha + y) ⊕ k; the ripple-carry chain lives in
-		// internal/bits so the Chaskey kernel shares one implementation.
-		var nx [16]uint64
-		bits.AddPlanes16(&nx, &st.X, alpha, &st.Y)
-		for i := 0; i < 16; i++ {
-			nx[i] ^= rk[i]
-		}
-		// y ← (y ⋘ beta) ⊕ x
-		var ny [16]uint64
-		for i := uint(0); i < 16; i++ {
-			ny[i] = st.Y[(i-beta)&15] ^ nx[i]
-		}
-		st.X = nx
-		st.Y = ny
-	}
-}
-
-// PackKeyRow packs the 4-word key (l2, l1, l0, k0) — the word order New
-// takes — into the 64-bit lane row EncryptDiffSliced64 consumes.
-func PackKeyRow(k0, k1, k2, k3 uint16) uint64 {
-	return uint64(k0) | uint64(k1)<<16 | uint64(k2)<<32 | uint64(k3)<<48
-}
-
-// PackBlockRow packs a block into the X ‖ Y<<16 lane row
-// EncryptDiffSliced64 consumes — the same packed-row bit layout the
-// SPECK scenario datasets use.
-func PackBlockRow(b Block) uint32 { return uint32(b.X) | uint32(b.Y)<<16 }
-
-// EncryptDiffSliced64 is the fused differential-sampler kernel: for
+// EncryptDiffPlanes128 is the ×128 differential-sampler kernel: for
 // each lane l it computes
 //
 //	EncryptRounds(p[l], n) ⊕ EncryptRounds(p[l] ⊕ delta, n)
 //
-// under lane l's own key schedule, returning the 64 output differences
-// as X ‖ Y<<16 words (the packed-row bit layout of the SPECK
-// scenario). Inputs arrive as packed lane rows — PackKeyRow/
-// PackBlockRow — which the sampler builds for free while drawing the
-// random words; neither input array is modified.
+// under lane l's own key schedule, returning the output differences as
+// X ‖ Y<<16 words (the packed-row bit layout of the SPECK scenario).
+//
+// Inputs arrive in plane form per 64-lane group: key0/key1 hold lanes
+// 0..63 and 64..127, with plane 16w+b = bit b of key word w (the word
+// order New takes: l2, l1, l0, k0) across the group's lanes; pt0/pt1
+// hold the plaintexts, planes 0..15 the X bits and 16..31 the Y bits.
+// The batched-draw sampler builds them straight from column-major PRNG
+// draws via bits.TransposeTop16Pair. All four plane arrays are
+// clobbered.
+//
+// On amd64 with AVX2 both δ-partner states of both groups run as one
+// interleaved-plane pass in assembly (sliced_amd64.s), four plane words
+// per vector op. Everywhere else the two groups run through the
+// portable plane kernel independently; every lane is positionally
+// independent, so the two paths are bit-identical, which the tests pin
+// on AVX2 machines.
+func EncryptDiffPlanes128(key0, key1 *[64]uint64, pt0, pt1 *[32]uint64, delta Block, n int, out *[128]uint32) {
+	if n < 0 || n > Rounds {
+		panic(fmt.Sprintf("speck: invalid round count %d", n))
+	}
+	if encryptDiffPlanes128Accel(key0, key1, pt0, pt1, delta, n, out) {
+		return
+	}
+	encryptDiffPlanes(key0, pt0, delta, n, (*[64]uint32)(out[0:64]))
+	encryptDiffPlanes(key1, pt1, delta, n, (*[64]uint32)(out[64:128]))
+}
+
+// slicedState holds one 32-bit SPECK block for each of 64 lanes in
+// bit-plane form: bit l of X[i] is bit i of lane l's X word, and
+// likewise for Y.
+type slicedState struct {
+	X, Y [16]uint64
+}
+
+// encryptDiffPlanes is the portable ×64 kernel behind
+// EncryptDiffPlanes128: one 64-lane group, same plane layouts, both
+// plane arrays clobbered.
 //
 // Everything is software-pipelined into one pass: the schedule step
 // that produces round key r+1 runs right after encryption round r, so
@@ -193,39 +77,10 @@ func PackBlockRow(b Block) uint32 { return uint32(b.X) | uint32(b.Y)<<16 }
 // dependency — overlaps the two encryption chains in the out-of-order
 // window instead of running latency-bound up front, and only the n
 // round keys the reduced regime uses are ever computed. The l-chain
-// and round-key planes live inside the transposed key matrix itself
-// and are updated in place (the seven plane words a schedule step
-// would clobber before reading are preloaded into registers); the
-// per-round state buffers ping-pong, so no planes are copied inside
-// the loop. Bit-identity with the scalar path is pinned by
-// sliced_test.go for every round count.
-func EncryptDiffSliced64(keyRows *[64]uint64, ptRows *[64]uint32, delta Block, n int, out *[64]uint32) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("speck: invalid round count %d", n))
-	}
-	m := *keyRows
-	bits.Transpose64(&m)
-	var mp [32]uint64
-	bits.TransposeRows32(ptRows, &mp)
-	encryptDiffPlanes(&m, &mp, delta, n, out)
-}
-
-// EncryptDiffPlanes64 is EncryptDiffSliced64 for callers that already
-// hold the inputs in plane form: keyPlanes is the transposed 64×64 key
-// matrix (plane group 16w..16w+15 = bits of key word w across lanes,
-// the Transpose64 image of PackKeyRow rows) and ptPlanes the 32-plane
-// plaintext (planes 0..15 = X bits, 16..31 = Y bits, the
-// TransposeRows32 image of PackBlockRow rows). The batched-draw sampler
-// builds these directly from column-major PRNG draws via
-// bits.TransposeTop16Pair, skipping the per-row pack + transpose. Both
-// plane arrays are clobbered.
-func EncryptDiffPlanes64(keyPlanes *[64]uint64, ptPlanes *[32]uint64, delta Block, n int, out *[64]uint32) {
-	if n < 0 || n > Rounds {
-		panic(fmt.Sprintf("speck: invalid round count %d", n))
-	}
-	encryptDiffPlanes(keyPlanes, ptPlanes, delta, n, out)
-}
-
+// and round-key planes live inside the key planes themselves and are
+// updated in place (the seven plane words a schedule step would
+// clobber before reading are preloaded into registers); the per-round
+// state buffers ping-pong, so no planes are copied inside the loop.
 func encryptDiffPlanes(keyPlanes *[64]uint64, mp *[32]uint64, delta Block, n int, out *[64]uint32) {
 	// Key planes viewed in place: l2 ‖ l1 ‖ l0 ‖ rk0 plane groups. lp
 	// is the l-chain ring buffer — the schedule recurrence reads l[i]
@@ -241,7 +96,7 @@ func encryptDiffPlanes(keyPlanes *[64]uint64, mp *[32]uint64, delta Block, n int
 
 	// The δ-partner differs by a complement of the planes where delta
 	// has a 1.
-	var a0, a1, b0, b1 SlicedState
+	var a0, a1, b0, b1 slicedState
 	copy(a0.X[:], mp[0:16])
 	copy(a0.Y[:], mp[16:32])
 	for i := uint(0); i < 16; i++ {

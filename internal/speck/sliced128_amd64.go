@@ -6,14 +6,15 @@ import (
 	"unsafe"
 
 	"repro/internal/bits"
+	"repro/internal/cpu"
 )
 
-// AVX2 side of EncryptDiffSliced128: the Go wrapper here builds the
+// AVX2 side of EncryptDiffPlanes128: the Go wrapper here builds the
 // interleaved plane buffer and the assembly kernel in sliced_amd64.s
 // runs the rounds. useSpeckAVX2 is a variable so tests can force the
 // two-half fallback and check both paths agree on the same machine.
 
-var useSpeckAVX2 = bits.HasAVX2()
+var useSpeckAVX2 = cpu.HasAVX2()
 
 // diffPlanes128 is the in-memory plane layout the assembly kernel walks.
 // Each [4]uint64 is one YMM-sized bit plane: state planes (x, y) hold
@@ -59,21 +60,6 @@ var scheduleRC = func() (t [Rounds][16]uint64) {
 //go:noescape
 func encryptDiffAVX2(p *diffPlanes128, n int)
 
-func encryptDiff128Accel(keyRows *[128]uint64, ptRows *[128]uint32, delta Block, n int, out *[128]uint32) bool {
-	if !useSpeckAVX2 {
-		return false
-	}
-	var m0, m1 [64]uint64
-	copy(m0[:], keyRows[0:64])
-	copy(m1[:], keyRows[64:128])
-	bits.Transpose64(&m0)
-	bits.Transpose64(&m1)
-	var mp0, mp1 [32]uint64
-	bits.TransposeRows32((*[64]uint32)(ptRows[0:64]), &mp0)
-	bits.TransposeRows32((*[64]uint32)(ptRows[64:128]), &mp1)
-	return encryptDiffPlanes128Accel(&m0, &m1, &mp0, &mp1, delta, n, out)
-}
-
 func encryptDiffPlanes128Accel(m0, m1 *[64]uint64, mp0, mp1 *[32]uint64, delta Block, n int, out *[128]uint32) bool {
 	if !useSpeckAVX2 {
 		return false
@@ -81,7 +67,7 @@ func encryptDiffPlanes128Accel(m0, m1 *[64]uint64, mp0, mp1 *[32]uint64, delta B
 	var p diffPlanes128
 
 	// Key planes per group interleave duplicated [g0, g1, g0, g1].
-	// Plane groups follow PackKeyRow: l2 ‖ l1 ‖ l0 ‖ rk0.
+	// Plane groups follow the key word order: l2 ‖ l1 ‖ l0 ‖ rk0.
 	for bit := 0; bit < 16; bit++ {
 		p.l[2][bit] = [4]uint64{m0[bit], m1[bit], m0[bit], m1[bit]}
 		p.l[1][bit] = [4]uint64{m0[16+bit], m1[16+bit], m0[16+bit], m1[16+bit]}

@@ -5,57 +5,43 @@ package speck
 import (
 	"testing"
 
-	"repro/internal/bits"
 	"repro/internal/prng"
 )
 
-// The AVX2 interleaved-plane kernel and the two-half scalar fallback
+// The AVX2 interleaved-plane kernel and the two-half portable fallback
 // are alternative implementations of the same function; on a machine
 // that has both, they must be bit-identical.
 func TestEncryptDiff128AccelMatchesFallback(t *testing.T) {
 	if !useSpeckAVX2 {
 		t.Skip("no AVX2 on this machine")
 	}
+	defer func() { useSpeckAVX2 = true }()
 	r := prng.New(0x51c)
 	for trial := 0; trial < 64; trial++ {
-		var keyRows [128]uint64
-		var ptRows [128]uint32
-		for l := 0; l < 128; l++ {
-			keyRows[l] = r.Uint64()
-			ptRows[l] = uint32(r.Uint64())
+		// Random planes are the transpose of random lane rows.
+		var k0, k1 [64]uint64
+		var p0, p1 [32]uint64
+		for i := range k0 {
+			k0[i], k1[i] = r.Uint64(), r.Uint64()
+		}
+		for i := range p0 {
+			p0[i], p1[i] = r.Uint64(), r.Uint64()
 		}
 		n := int(r.Uint64() % (Rounds + 1))
+		delta := Block{X: r.Uint16(), Y: r.Uint16()}
+		if trial == 0 {
+			delta = GohrDelta
+		}
+		// The entry clobbers its planes, so each arm gets a copy.
 		var accel, fallback [128]uint32
-		if !encryptDiff128Accel(&keyRows, &ptRows, GohrDelta, n, &accel) {
-			t.Fatal("accel path refused despite AVX2")
-		}
-		useSpeckAVX2 = false
-		EncryptDiffSliced128(&keyRows, &ptRows, GohrDelta, n, &fallback)
-		if accel != fallback {
-			useSpeckAVX2 = true
-			t.Fatalf("trial %d (n=%d): AVX2 kernel diverges from scalar fallback", trial, n)
-		}
-
-		// Same check for the plane-form entry's two dispatch arms. The
-		// planes are clobbered, so each arm gets a fresh transpose.
-		planes := func() (m0, m1 [64]uint64, mp0, mp1 [32]uint64) {
-			copy(m0[:], keyRows[0:64])
-			copy(m1[:], keyRows[64:128])
-			bits.Transpose64(&m0)
-			bits.Transpose64(&m1)
-			bits.TransposeRows32((*[64]uint32)(ptRows[0:64]), &mp0)
-			bits.TransposeRows32((*[64]uint32)(ptRows[64:128]), &mp1)
-			return
-		}
-		var pFall [128]uint32
-		m0, m1, mp0, mp1 := planes()
-		EncryptDiffPlanes128(&m0, &m1, &mp0, &mp1, GohrDelta, n, &pFall)
+		m0, m1, mp0, mp1 := k0, k1, p0, p1
 		useSpeckAVX2 = true
-		var pAccel [128]uint32
-		m0, m1, mp0, mp1 = planes()
-		EncryptDiffPlanes128(&m0, &m1, &mp0, &mp1, GohrDelta, n, &pAccel)
-		if pAccel != accel || pFall != accel {
-			t.Fatalf("trial %d (n=%d): plane-form entry diverges from row-form kernel", trial, n)
+		EncryptDiffPlanes128(&m0, &m1, &mp0, &mp1, delta, n, &accel)
+		m0, m1, mp0, mp1 = k0, k1, p0, p1
+		useSpeckAVX2 = false
+		EncryptDiffPlanes128(&m0, &m1, &mp0, &mp1, delta, n, &fallback)
+		if accel != fallback {
+			t.Fatalf("trial %d (n=%d): AVX2 kernel diverges from portable fallback", trial, n)
 		}
 	}
 }

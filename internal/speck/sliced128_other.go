@@ -2,10 +2,6 @@
 
 package speck
 
-func encryptDiff128Accel(keyRows *[128]uint64, ptRows *[128]uint32, delta Block, n int, out *[128]uint32) bool {
-	return false
-}
-
 func encryptDiffPlanes128Accel(m0, m1 *[64]uint64, mp0, mp1 *[32]uint64, delta Block, n int, out *[128]uint32) bool {
 	return false
 }

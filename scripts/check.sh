@@ -9,6 +9,10 @@
 # internal/ledger). On top of the plain test run this script
 # executes:
 #
+#   - a GOARCH=386 vet and test pass: the one build in which every
+#     *_other.go portable fallback (bitsliced kernels, PRNG draws,
+#     transposes, matrix kernels) runs as the only path, and where
+#     32-bit int and 64-bit atomic alignment bugs surface;
 #   - the internal/testkit conformance suite (KATs for all eight
 #     primitives — GIMLI, SPECK, GIFT, Salsa, Trivium, SIMON, SIMECK,
 #     Chaskey — property runner self-tests, sampled-vs-exact DP
@@ -27,6 +31,8 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+GOARCH=386 go vet ./...
+GOARCH=386 go test ./...
 go test -race ./internal/nn/... ./internal/core/...
 go test -race ./internal/serve ./internal/metrics
 go test -race ./internal/cluster ./internal/ledger
