@@ -6,11 +6,15 @@
 // `benchdiff -compare old.json new.json`. With -max-regress <pct> the
 // comparison becomes a gate: any benchmark whose ns/op regressed past
 // the threshold fails the run, which is how scripts/check.sh keeps the
-// committed performance trajectory monotone. Stdlib only.
+// committed performance trajectory monotone. Each snapshot records the
+// machine it ran on (GOMAXPROCS, NumCPU, the CPU model from go test's
+// `cpu:` line, AVX2, the Go version), and -compare prints a one-line
+// warning when two snapshots' machines differ. Stdlib only.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,6 +24,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+
+	"repro/internal/cpu"
 )
 
 // Benchmark is one measured benchmark result.
@@ -31,12 +37,18 @@ type Benchmark struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Snapshot is the persisted BENCH_<date>.json document.
+// Snapshot is the persisted BENCH_<date>.json document. NumCPU, CPU,
+// AVX2 and GoVersion describe the machine next to GOMAXPROCS; snapshots
+// written before they were recorded load with them unset.
 type Snapshot struct {
 	Date       string      `json:"date"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`  // the `cpu:` line go test prints
+	AVX2       *bool       `json:"avx2,omitempty"` // cpu.HasAVX2 on the snapshotting host
+	GoVersion  string      `json:"go_version,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -154,10 +166,25 @@ func aggregateMin(benches []Benchmark) []Benchmark {
 	return out
 }
 
+// cpuModel returns the CPU model from the first `cpu:` line of `go
+// test -bench` output, or "" when there is none.
+func cpuModel(out []byte) string {
+	for _, line := range strings.Split(string(out), "\n") {
+		if m, ok := strings.CutPrefix(line, "cpu: "); ok {
+			return strings.TrimSpace(m)
+		}
+	}
+	return ""
+}
+
 // writeSnapshot parses stdin and writes the snapshot JSON, folding
-// -count=N repeats via aggregateMin.
+// -count=N repeats via aggregateMin and recording the machine.
 func writeSnapshot(r io.Reader, path, date string) error {
-	benches, err := parseBench(r)
+	out, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	benches, err := parseBench(bytes.NewReader(out))
 	if err != nil {
 		return err
 	}
@@ -168,11 +195,16 @@ func writeSnapshot(r io.Reader, path, date string) error {
 	if date == "" {
 		date = dateFromPath(path)
 	}
+	avx2 := cpu.HasAVX2()
 	snap := Snapshot{
 		Date:       date,
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        cpuModel(out),
+		AVX2:       &avx2,
+		GoVersion:  runtime.Version(),
 		Benchmarks: benches,
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
@@ -232,6 +264,9 @@ func compareFiles(w io.Writer, oldPath, newPath string, gates gateConfig) error 
 		return err
 	}
 	fmt.Fprintf(w, "benchdiff: %s (%s) → %s (%s)\n", oldPath, oldSnap.Date, newPath, newSnap.Date)
+	if diff := machineDiff(oldSnap, newSnap); len(diff) > 0 {
+		fmt.Fprintf(w, "benchdiff: warning: the snapshots come from different machines: %s\n", strings.Join(diff, ", "))
+	}
 	prev := map[string]Benchmark{}
 	for _, b := range oldSnap.Benchmarks {
 		prev[b.Name] = b
@@ -267,6 +302,27 @@ func compareFiles(w io.Writer, oldPath, newPath string, gates gateConfig) error 
 		return fmt.Errorf("regressed past the gates: %s", strings.Join(regressed, ", "))
 	}
 	return nil
+}
+
+// machineDiff names the machine fields two snapshots both record with
+// different values, as "field old → new".
+func machineDiff(a, b Snapshot) []string {
+	var diff []string
+	add := func(field string, x, y any, recorded bool) {
+		if recorded && x != y {
+			diff = append(diff, fmt.Sprintf("%s %v → %v", field, x, y))
+		}
+	}
+	add("goos", a.GOOS, b.GOOS, true)
+	add("goarch", a.GOARCH, b.GOARCH, true)
+	add("gomaxprocs", a.GOMAXPROCS, b.GOMAXPROCS, true)
+	add("num_cpu", a.NumCPU, b.NumCPU, a.NumCPU != 0 && b.NumCPU != 0)
+	add("cpu", a.CPU, b.CPU, a.CPU != "" && b.CPU != "")
+	if a.AVX2 != nil && b.AVX2 != nil {
+		add("avx2", *a.AVX2, *b.AVX2, true)
+	}
+	add("go_version", a.GoVersion, b.GoVersion, a.GoVersion != "" && b.GoVersion != "")
+	return diff
 }
 
 func pctDelta(old, new float64) float64 {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -161,5 +164,81 @@ func TestDateFromPath(t *testing.T) {
 		if got := dateFromPath(path); got != want {
 			t.Fatalf("dateFromPath(%q) = %q, want %q", path, got, want)
 		}
+	}
+}
+
+// TestSnapshotRecordsMachine: a snapshot records the machine next to
+// gomaxprocs; -compare warns, on one line naming the differing fields,
+// when two snapshots' machines differ, and snapshots written before
+// the machine fields existed still load and compare.
+func TestSnapshotRecordsMachine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_20260101.json")
+	if err := writeSnapshot(strings.NewReader(sample), path, ""); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := readSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.NumCPU != runtime.NumCPU() || snap.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" ||
+		snap.AVX2 == nil || snap.GoVersion != runtime.Version() {
+		t.Fatalf("machine fields not recorded: %+v", snap)
+	}
+
+	// Same machine: no warning.
+	var sb strings.Builder
+	if err := compareFiles(&sb, path, path, gateConfig{maxAllocRegress: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "warning") {
+		t.Fatalf("same-machine compare warned:\n%s", sb.String())
+	}
+
+	// Another CPU model and core count: one warning line naming both.
+	other := snap
+	other.NumCPU = snap.NumCPU + 1
+	other.CPU = "AMD EPYC 7B13"
+	otherPath := filepath.Join(dir, "BENCH_20260102.json")
+	writeJSON(t, otherPath, other)
+	sb.Reset()
+	if err := compareFiles(&sb, path, otherPath, gateConfig{maxAllocRegress: -1}); err != nil {
+		t.Fatal(err)
+	}
+	var warnings []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.Contains(line, "warning") {
+			warnings = append(warnings, line)
+		}
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "num_cpu") ||
+		!strings.Contains(warnings[0], "cpu Intel") || strings.Contains(warnings[0], "go_version") {
+		t.Fatalf("want one warning naming num_cpu and cpu, got %q", warnings)
+	}
+
+	// A snapshot without the machine fields loads; only the fields both
+	// sides record are compared.
+	legacy := filepath.Join(dir, "BENCH_20250101.json")
+	writeJSON(t, legacy, map[string]any{
+		"date": "20250101", "goos": snap.GOOS, "goarch": snap.GOARCH, "gomaxprocs": snap.GOMAXPROCS,
+		"benchmarks": []Benchmark{{Name: "BenchmarkFit/workers=1-8", Iterations: 1, NsPerOp: 1}},
+	})
+	sb.Reset()
+	if err := compareFiles(&sb, legacy, path, gateConfig{maxAllocRegress: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "warning") {
+		t.Fatalf("legacy snapshot without machine fields warned:\n%s", sb.String())
+	}
+}
+
+func writeJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,8 +27,8 @@ import (
 	"repro/internal/bias"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/profiling"
 	"repro/internal/prng"
+	"repro/internal/profiling"
 )
 
 // out is swapped for a buffer by the tests.

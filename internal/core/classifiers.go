@@ -61,21 +61,27 @@ func NewTable3Classifier(arch string, featureLen int, seed uint64) (*NNClassifie
 func (c *NNClassifier) Name() string { return fmt.Sprintf("nn(%d params)", c.Net.ParamCount()) }
 
 // Fit trains the network on the labelled samples.
-func (c *NNClassifier) Fit(x [][]float64, y []int) error { return c.fit(nn.FromRows(x), y) }
-
-// FitDataset trains the network straight from the packed backing
-// store: each row is expanded into the input matrix with SetRowBits,
-// which produces the same float values as the Rows() view, so fitted
-// weights are byte-identical to Fit on that view.
-func (c *NNClassifier) FitDataset(d *Dataset) error {
-	m := nn.NewMatrix(d.Len(), d.FeatureLen())
-	for i := 0; i < d.Len(); i++ {
-		m.SetRowBits(i, d.Packed(i))
-	}
-	return c.fit(m, d.Y)
+func (c *NNClassifier) Fit(x [][]float64, y []int) error {
+	_, err := c.Net.Fit(nn.FromRows(x), y, c.fitConfig())
+	return err
 }
 
-func (c *NNClassifier) fit(m *nn.Matrix, y []int) error {
+// FitDataset trains the network straight from the packed backing
+// store through nn.Network.FitBits, whose trained weights are
+// byte-identical to Fit on the Rows() view.
+func (c *NNClassifier) FitDataset(d *Dataset) error {
+	_, err := c.Net.FitBits(datasetBits(d, 0, d.Len()), d.Y, c.fitConfig())
+	return err
+}
+
+// datasetBits views rows [lo, hi) of d as an nn.BitMatrix, sharing the
+// packed backing store.
+func datasetBits(d *Dataset, lo, hi int) *nn.BitMatrix {
+	return &nn.BitMatrix{Rows: hi - lo, Cols: d.feat, Data: d.bits[lo*d.words : hi*d.words]}
+}
+
+// fitConfig resolves the classifier's training hyperparameters.
+func (c *NNClassifier) fitConfig() nn.FitConfig {
 	epochs := c.Epochs
 	if epochs <= 0 {
 		epochs = 5
@@ -84,15 +90,14 @@ func (c *NNClassifier) fit(m *nn.Matrix, y []int) error {
 	if batch <= 0 {
 		batch = 128
 	}
-	_, err := c.Net.Fit(m, y, nn.FitConfig{
+	return nn.FitConfig{
 		Epochs:    epochs,
 		BatchSize: batch,
 		Optimizer: nn.NewAdam(c.LR),
 		Seed:      c.Seed,
 		OnEpoch:   c.OnEpoch,
 		Workers:   c.Workers,
-	})
-	return err
+	}
 }
 
 // Predict returns the network's argmax class.
@@ -137,10 +142,10 @@ func (c *NNClassifier) PredictBatch(x [][]float64) []int {
 }
 
 // PredictDataset is PredictBatch fed straight from the packed backing
-// store: each chunk's input matrix is filled with SetRowBits instead of
-// copying materialized float rows, so scoring a dataset never builds
-// the [][]float64 view. Predictions are bitwise those of PredictBatch
-// on the Rows() view.
+// store: each chunk is a view of the packed rows handed to
+// nn.Predictor.PredictBitsInto, so scoring a dataset never builds the
+// [][]float64 view. Predictions are bitwise those of PredictBatch on
+// the Rows() view.
 func (c *NNClassifier) PredictDataset(d *Dataset) []int {
 	n := d.Len()
 	if n == 0 {
@@ -153,11 +158,7 @@ func (c *NNClassifier) PredictDataset(d *Dataset) []int {
 		if hi > n {
 			hi = n
 		}
-		in := c.ensureInput(hi-lo, d.FeatureLen())
-		for i := lo; i < hi; i++ {
-			in.SetRowBits(i-lo, d.Packed(i))
-		}
-		c.outBuf = c.pred.PredictInto(c.outBuf, in)
+		c.outBuf = c.pred.PredictBitsInto(c.outBuf, datasetBits(d, lo, hi))
 		copy(out[lo:hi], c.outBuf)
 	}
 	return out

@@ -129,9 +129,9 @@ type RelatedKeyScenario interface {
 // DatasetClassifier is the packed fast path of Classifier: it consumes
 // a Dataset's backing store directly instead of a materialized
 // [][]float64 view. Train and evalAccuracy prefer it when present;
-// both paths must produce identical results (the NN adapter expands
-// the same bit values into its input matrix either way, so fitted
-// weights and predictions are byte-identical).
+// both paths must produce identical results (the NN adapter hands the
+// packed rows to nn's packed entries, whose fitted weights and
+// predictions are byte-identical to the float ones).
 type DatasetClassifier interface {
 	Classifier
 	// FitDataset is Fit over the dataset's packed rows and labels.

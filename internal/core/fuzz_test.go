@@ -81,12 +81,17 @@ func FuzzLoadDataset(f *testing.F) {
 			t.Fatal("LoadDataset returned nil dataset without error")
 		}
 		// Exercise the accessors a consumer would hit: every row view
-		// must be materializable.
+		// must be materializable, and no row may carry bits past the
+		// feature length (a packed first layer would index them).
 		var scratch []float64
+		tail := ld.FeatureLen() % 64
 		for i := 0; i < ld.Len(); i++ {
 			scratch = ld.Row(i, scratch)
 			if ld.Y[i] < 0 {
 				t.Fatalf("label %d negative after successful load", i)
+			}
+			if p := ld.Packed(i); tail != 0 && p[len(p)-1]>>tail != 0 {
+				t.Fatalf("row %d has bits past feature %d after successful load", i, ld.FeatureLen())
 			}
 		}
 	})

@@ -184,6 +184,15 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("core: dataset label %d is negative (%d)", i, y)
 		}
 	}
+	// Bits past Feat in a row's last word hold no feature; a packed
+	// consumer indexing by bit position must never see one.
+	if tail := df.Feat % 64; tail != 0 {
+		for i := 0; i < len(df.Y); i++ {
+			if df.Bits[(i+1)*words-1]>>tail != 0 {
+				return nil, fmt.Errorf("core: dataset row %d has bits set past feature %d", i, df.Feat)
+			}
+		}
+	}
 	d := newDataset(len(df.Y), df.Feat)
 	copy(d.Y, df.Y)
 	copy(d.bits, df.Bits)

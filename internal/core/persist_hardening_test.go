@@ -148,6 +148,10 @@ func TestLoadDatasetRejectsCorruptFiles(t *testing.T) {
 		{"extra bit words", func(df *datasetFile) { df.Bits = append(append([]uint64(nil), df.Bits...), 0) }, "packed words"},
 		{"negative label", func(df *datasetFile) { df.Y = append([]int(nil), df.Y...); df.Y[1] = -2 }, "negative"},
 		{"feat drift breaks word count", func(df *datasetFile) { df.Feat = df.Feat + 64 }, "packed words"},
+		{"bits past the feature length", func(df *datasetFile) {
+			df.Bits = append([]uint64(nil), df.Bits...)
+			df.Bits[len(df.Bits)-1] |= 1 << df.Feat
+		}, "past feature"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

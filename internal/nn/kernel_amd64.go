@@ -206,3 +206,30 @@ func mulRangeAccel(out, a, b *Matrix, lo, hi int) bool {
 	}
 	return true
 }
+
+// addRows adds b0 into o (o[j] += b0[j]) — the packed first layer's
+// unit-weight axpy, through axpy1AVX2 with a0 = 1 (1·b is exact, so
+// the lanes round like the plain-Go add).
+func addRows(o, b0 []float64) {
+	m4 := 0
+	if useMulAVX2 {
+		m4 = len(o) &^ 3
+	}
+	if m4 > 0 {
+		axpy1AVX2(&o[0], &b0[0], 1, m4)
+	}
+	addRowsGo(o[m4:], b0[m4:])
+}
+
+// addRows2 applies o[j] = (o[j] + b0[j]) + b1[j], two roundings per
+// element, through axpy2AVX2 with unit weights.
+func addRows2(o, b0, b1 []float64) {
+	m4 := 0
+	if useMulAVX2 {
+		m4 = len(o) &^ 3
+	}
+	if m4 > 0 {
+		axpy2AVX2(&o[0], &b0[0], &b1[0], 1, 1, m4)
+	}
+	addRows2Go(o[m4:], b0[m4:], b1[m4:])
+}

@@ -3,7 +3,6 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/prng"
@@ -15,19 +14,6 @@ func forceScalarMul(fn func()) {
 	useMulAVX2 = false
 	defer func() { useMulAVX2 = saved }()
 	fn()
-}
-
-func matricesBitIdentical(t *testing.T, what string, got, want *Matrix) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("%s: shape %d×%d, want %d×%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i := range got.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("%s: element %d = %x, scalar %x", what,
-				i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
-		}
-	}
 }
 
 // TestMulNTAVX2BitIdentical: the register-tiled AVX2 MulNT kernel must

@@ -11,3 +11,9 @@ func mulRangeAccel(out, a, b *Matrix, lo, hi int) bool { return false }
 
 // mulTNAccRangeAccel has no accelerated implementation off amd64.
 func mulTNAccRangeAccel(acc []float64, a, b *Matrix, lo, hi int) bool { return false }
+
+// addRows is the plain-Go row add off amd64.
+func addRows(o, b0 []float64) { addRowsGo(o, b0) }
+
+// addRows2 is the plain-Go paired row add off amd64.
+func addRows2(o, b0, b1 []float64) { addRows2Go(o, b0, b1) }

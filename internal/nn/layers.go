@@ -41,10 +41,11 @@ type Layer interface {
 type Dense struct {
 	In, Out int
 	w, b    *Param
-	x       *Matrix // cached input
-	out     *Matrix // training-time output scratch, reused across steps
-	dx      *Matrix // backward input-gradient scratch, reused across steps
-	wm      Matrix  // weight-view header, avoids a heap allocation per call
+	x       *Matrix    // cached float input
+	xb      *BitMatrix // cached packed input (forwardBits); nil after a float Forward
+	out     *Matrix    // training-time output scratch, reused across steps
+	dx      *Matrix    // backward input-gradient scratch, reused across steps
+	wm      Matrix     // weight-view header, avoids a heap allocation per call
 
 	// Replica flags (see cloneForTrain/cloneForEval): replicas reuse
 	// the output scratch in inference mode too, and training replicas
@@ -97,7 +98,7 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 	var out *Matrix
 	if train || d.scratchEval {
 		if train {
-			d.x = x
+			d.x, d.xb = x, nil
 		}
 		d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 		d.out = ensureMatrix(d.out, x.Rows, d.Out)
@@ -115,25 +116,68 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 	return out
 }
 
+// forwardBits is Forward for packed {0,1} input: b + Σ W[k] over each
+// row's set bits, bit-identical to Forward on the 0.0/1.0 float rows
+// (see bitsMulRange). Training replicas run it on the calling
+// goroutine; inference splits rows across goroutines as MulInto does.
+func (d *Dense) forwardBits(x *BitMatrix, train bool) *Matrix {
+	if x.Cols != d.In {
+		panic(fmt.Sprintf("nn: %s got packed input width %d", d.Name(), x.Cols))
+	}
+	x.check()
+	var out *Matrix
+	if train || d.scratchEval {
+		if train {
+			d.x, d.xb = nil, x
+		}
+		d.out = ensureMatrix(d.out, x.Rows, d.Out)
+		out = d.out
+	} else {
+		out = NewMatrix(x.Rows, d.Out)
+	}
+	zeroFloats(out.Data)
+	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
+	if d.seq {
+		bitsMulRange(out, x, &d.wm, 0, x.Rows)
+	} else {
+		wm := &d.wm
+		parallelRows(x.Rows, x.Rows*d.In*d.Out, func(lo, hi int) {
+			bitsMulRange(out, x, wm, lo, hi)
+		})
+	}
+	out.AddRowVector(d.b.W)
+	return out
+}
+
 // Backward accumulates dW = xᵀ·g, db = Σ g and returns dx = g·Wᵀ. The
 // transposed-gradient product lands directly in the weight gradient and
 // the returned matrix is a per-layer scratch buffer (valid until the
 // next Backward call), so the steady-state hot loop allocates nothing.
 func (d *Dense) Backward(grad *Matrix) *Matrix {
-	if d.x == nil {
-		panic("nn: Dense.Backward before Forward(train=true)")
-	}
+	d.backwardParams(grad)
 	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
-	wm := &d.wm
 	d.dx = ensureMatrix(d.dx, grad.Rows, d.In)
 	if d.seq {
-		mulTNAccSeq(d.w.Grad, d.x, grad)
-		colSumsAcc(d.b.Grad, grad)
-		return mulNTIntoSeq(d.dx, grad, wm)
+		return mulNTIntoSeq(d.dx, grad, &d.wm)
 	}
-	MulTNAcc(d.w.Grad, d.x, grad)
+	return MulNTInto(d.dx, grad, &d.wm)
+}
+
+// backwardParams is Backward without the input gradient: it
+// accumulates dW and db only. The training engines call it on layer 0,
+// whose dL/dinput nothing reads.
+func (d *Dense) backwardParams(grad *Matrix) {
+	switch {
+	case d.xb != nil:
+		bitsMulTNAcc(d.w.Grad, d.xb, grad)
+	case d.x == nil:
+		panic("nn: Dense.Backward before Forward(train=true)")
+	case d.seq:
+		mulTNAccSeq(d.w.Grad, d.x, grad)
+	default:
+		MulTNAcc(d.w.Grad, d.x, grad)
+	}
 	colSumsAcc(d.b.Grad, grad)
-	return MulNTInto(d.dx, grad, wm)
 }
 
 // cloneForTrain returns a training replica sharing this layer's weights
@@ -229,6 +273,9 @@ func (a *Activation) OutDim() int { return a.Dim }
 // Params returns nil: activations are parameter-free.
 func (a *Activation) Params() []*Param { return nil }
 
+// actForward is the per-element reference definition of each
+// activation. Activation.Forward inlines these expressions in
+// kind-specialized loops and is tested against this bit for bit.
 func actForward(kind ActKind, v float64) float64 {
 	switch kind {
 	case ReLU:
@@ -249,7 +296,8 @@ func actForward(kind ActKind, v float64) float64 {
 	panic("nn: unknown activation")
 }
 
-// actGrad returns dout/din given the pre-activation input v.
+// actGrad returns dout/din given the pre-activation input v: the
+// reference Activation.Backward's loops are tested against.
 func actGrad(kind ActKind, v float64) float64 {
 	switch kind {
 	case ReLU:
@@ -289,8 +337,36 @@ func (a *Activation) Forward(x *Matrix, train bool) *Matrix {
 	} else {
 		out = NewMatrix(x.Rows, x.Cols)
 	}
-	for i, v := range x.Data {
-		out.Data[i] = actForward(a.Kind, v)
+	// The kind switch is hoisted out of the element loops; each loop
+	// body is actForward's expression for that kind.
+	dst := out.Data[:len(x.Data)]
+	switch a.Kind {
+	case ReLU:
+		for i, v := range x.Data {
+			if v > 0 {
+				dst[i] = v
+			} else {
+				dst[i] = 0
+			}
+		}
+	case LeakyReLU:
+		for i, v := range x.Data {
+			if v > 0 {
+				dst[i] = v
+			} else {
+				dst[i] = LeakyAlpha * v
+			}
+		}
+	case Sigmoid:
+		for i, v := range x.Data {
+			dst[i] = 1 / (1 + math.Exp(-v))
+		}
+	case Tanh:
+		for i, v := range x.Data {
+			dst[i] = math.Tanh(v)
+		}
+	default:
+		panic("nn: unknown activation")
 	}
 	return out
 }
@@ -303,8 +379,40 @@ func (a *Activation) Backward(grad *Matrix) *Matrix {
 		panic("nn: Activation.Backward before Forward(train=true)")
 	}
 	a.gout = ensureMatrix(a.gout, grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		a.gout.Data[i] = g * actGrad(a.Kind, a.x.Data[i])
+	// As in Forward, the switch is hoisted and each loop multiplies by
+	// actGrad's value for that kind: g·0 (not a literal 0) keeps the
+	// sign of zero and NaN propagation of the reference.
+	dst := a.gout.Data[:len(grad.Data)]
+	xs := a.x.Data[:len(grad.Data)]
+	switch a.Kind {
+	case ReLU:
+		for i, g := range grad.Data {
+			d := 0.0
+			if xs[i] > 0 {
+				d = 1
+			}
+			dst[i] = g * d
+		}
+	case LeakyReLU:
+		for i, g := range grad.Data {
+			d := LeakyAlpha
+			if xs[i] > 0 {
+				d = 1
+			}
+			dst[i] = g * d
+		}
+	case Sigmoid:
+		for i, g := range grad.Data {
+			s := 1 / (1 + math.Exp(-xs[i]))
+			dst[i] = g * (s * (1 - s))
+		}
+	case Tanh:
+		for i, g := range grad.Data {
+			th := math.Tanh(xs[i])
+			dst[i] = g * (1 - th*th)
+		}
+	default:
+		panic("nn: unknown activation")
 	}
 	return a.gout
 }

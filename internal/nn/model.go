@@ -145,14 +145,46 @@ type History struct {
 // Fit trains the network with mini-batch gradient descent. x rows are
 // samples, y the integer class labels.
 func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
-	if x.Rows != len(y) {
-		return nil, fmt.Errorf("nn: %d samples but %d labels", x.Rows, len(y))
+	return n.train(fitInput{x: x}, y, cfg)
+}
+
+// FitBits is Fit over packed {0,1} rows, with bit-identical results:
+// the History and trained weights equal Fit's on the rows expanded to
+// 0.0/1.0 floats. A network whose first layer is Dense and that trains
+// on the sharded engine reads the packed rows directly (see
+// Dense.forwardBits); any other network trains on the expanded rows.
+func (n *Network) FitBits(x *BitMatrix, y []int, cfg FitConfig) (*History, error) {
+	if len(x.Data) != x.Rows*x.Words() {
+		return nil, fmt.Errorf("nn: %d×%d packed samples need %d words, got %d", x.Rows, x.Cols, x.Rows*x.Words(), len(x.Data))
 	}
-	if x.Rows == 0 {
+	return n.train(fitInput{xb: x}, y, cfg)
+}
+
+// fitInput is a training set in one of Fit's two input forms: float
+// rows (x) or packed bit rows (xb). Exactly one is set.
+type fitInput struct {
+	x  *Matrix
+	xb *BitMatrix
+}
+
+// shape returns the sample count and feature width.
+func (in fitInput) shape() (rows, cols int) {
+	if in.xb != nil {
+		return in.xb.Rows, in.xb.Cols
+	}
+	return in.x.Rows, in.x.Cols
+}
+
+func (n *Network) train(in fitInput, y []int, cfg FitConfig) (*History, error) {
+	rows, cols := in.shape()
+	if rows != len(y) {
+		return nil, fmt.Errorf("nn: %d samples but %d labels", rows, len(y))
+	}
+	if rows == 0 {
 		return nil, fmt.Errorf("nn: empty training set")
 	}
-	if x.Cols != n.InDim() {
-		return nil, fmt.Errorf("nn: samples have width %d, network expects %d", x.Cols, n.InDim())
+	if cols != n.InDim() {
+		return nil, fmt.Errorf("nn: samples have width %d, network expects %d", cols, n.InDim())
 	}
 	classes := n.Classes()
 	for i, label := range y {
@@ -167,8 +199,8 @@ func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
 	if bs <= 0 {
 		bs = 128
 	}
-	if bs > x.Rows {
-		bs = x.Rows
+	if bs > rows {
+		bs = rows
 	}
 	opt := cfg.Optimizer
 	if opt == nil {
@@ -182,7 +214,7 @@ func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
 	}
 
 	r := prng.New(cfg.Seed ^ 0xfeedface)
-	order := make([]int, x.Rows)
+	order := make([]int, rows)
 	for i := range order {
 		order[i] = i
 	}
@@ -191,17 +223,23 @@ func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if st := n.shardedFitState(bs, x.Cols, workers); st != nil {
-		return n.fitSharded(st, x, y, order, bs, opt, r, cfg)
+	st := n.shardedFitState(bs, cols, workers)
+	if _, dense := n.layers[0].(*Dense); in.xb != nil && (st == nil || !dense) {
+		// Packed rows reach the first layer only through Dense on the
+		// sharded engine; everything else trains on the float rows.
+		in = fitInput{x: in.xb.expand(NewMatrix(rows, cols))}
 	}
-	return n.fitWholeBatch(x, y, order, bs, opt, r, cfg)
+	if st != nil {
+		return n.fitSharded(st, in, y, order, bs, opt, r, cfg)
+	}
+	return n.fitWholeBatch(in.x, y, order, bs, opt, r, cfg)
 }
 
 // fitSharded is the data-parallel deterministic training loop: every
 // mini-batch is processed by the canonical shard engine in parallel.go,
 // so results are byte-identical at any worker count and the steady
 // state allocates nothing.
-func (n *Network) fitSharded(st *fitState, x *Matrix, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
+func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
 	params := st.netParams
 	hist := &History{}
 	st.startPool()
@@ -213,13 +251,13 @@ func (n *Network) fitSharded(st *fitState, x *Matrix, y []int, order []int, bs i
 		}
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		totalLoss, totalHit, seen := 0.0, 0, 0
-		for start := 0; start < x.Rows; start += bs {
+		for start := 0; start < len(order); start += bs {
 			end := start + bs
-			if end > x.Rows {
-				end = x.Rows
+			if end > len(order) {
+				end = len(order)
 			}
 			m := end - start
-			lossSum, hits := st.runStep(x, y, order, start, m, step)
+			lossSum, hits := st.runStep(in, y, order, start, m, step)
 			step++
 			opt.Step(params)
 			totalLoss += lossSum
@@ -308,10 +346,7 @@ func (n *Network) fitWholeBatch(x *Matrix, y []int, order []int, bs int, opt Opt
 			for _, p := range params {
 				p.ZeroGrad()
 			}
-			grad := probs
-			for i := len(n.layers) - 1; i >= 0; i-- {
-				grad = n.layers[i].Backward(grad)
-			}
+			backward(n.layers, probs)
 			opt.Step(params)
 
 			totalLoss += loss * float64(m)

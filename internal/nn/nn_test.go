@@ -237,6 +237,18 @@ func TestFitValidation(t *testing.T) {
 	if _, err := net.Fit(x, bad, FitConfig{Epochs: 1}); err == nil {
 		t.Error("out-of-range label accepted")
 	}
+	// FitBits shares Fit's validation, and a BitMatrix whose word count
+	// does not match its shape is an error.
+	_, xb := randBits(r, 10, 4, false)
+	if _, err := net.FitBits(xb, y[:5], FitConfig{Epochs: 1}); err == nil {
+		t.Error("packed: label count mismatch accepted")
+	}
+	if _, err := net.FitBits(&BitMatrix{Rows: 10, Cols: 4, Data: xb.Data[:9]}, y, FitConfig{Epochs: 1}); err == nil {
+		t.Error("packed: short data accepted")
+	}
+	if _, err := net.FitBits(&BitMatrix{Rows: 10, Cols: 5, Data: xb.Data}, y, FitConfig{Epochs: 1}); err == nil {
+		t.Error("packed: wrong feature width accepted")
+	}
 }
 
 func TestFitDeterministicGivenSeed(t *testing.T) {
@@ -475,6 +487,60 @@ func TestActivationStrings(t *testing.T) {
 	}
 	if ActKind(99).String() == "" {
 		t.Fatal("unknown kind should still render")
+	}
+}
+
+// TestActivationMatchesReference: the hoisted Forward/Backward loops
+// reproduce actForward and g·actGrad bit for bit for every kind,
+// including at ±0, ±Inf, NaN and subnormals, with negative, zero,
+// infinite and NaN gradients — a hoisted ReLU that wrote a literal 0
+// for g·0 would lose the −0 of a negative g at x ≤ 0.
+func TestActivationMatchesReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	xs := []float64{0, negZero, 1, -1, 0.5, -2.5, 40, -40, 710, -710,
+		math.Inf(1), math.Inf(-1), math.NaN(), sub, -sub, 3 * sub, -3 * sub,
+		math.MaxFloat64, -math.MaxFloat64}
+	gs := []float64{1, -1, 0, negZero, -0.75, 3, math.Inf(1), math.Inf(-1), math.NaN(), -sub}
+	x := NewMatrix(len(gs), len(xs))
+	g := NewMatrix(len(gs), len(xs))
+	for i := range gs {
+		copy(x.Row(i), xs)
+		for j := range xs {
+			g.Set(i, j, gs[i])
+		}
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, kind := range []ActKind{ReLU, LeakyReLU, Sigmoid, Tanh} {
+		a := NewActivation(kind, len(xs))
+		out := a.Forward(x, true)
+		dx := a.Backward(g)
+		for i, v := range x.Data {
+			if want := actForward(kind, v); !same(out.Data[i], want) {
+				t.Fatalf("%v forward(%v) = %v, reference %v", kind, v, out.Data[i], want)
+			}
+			if want := g.Data[i] * actGrad(kind, v); !same(dx.Data[i], want) {
+				t.Fatalf("%v backward(x=%v, g=%v) = %v, reference %v", kind, v, g.Data[i], dx.Data[i], want)
+			}
+		}
+	}
+	// An unknown kind panics in both directions (Forward caches its
+	// input before it panics, so Backward reaches its own switch).
+	bad := NewActivation(ActKind(99), 1)
+	for _, f := range []func(){
+		func() { bad.Forward(NewMatrix(1, 1), true) },
+		func() { bad.Backward(NewMatrix(1, 1)) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "nn: unknown activation" {
+					t.Errorf("unknown kind: recovered %v", r)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

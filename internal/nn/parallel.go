@@ -70,7 +70,8 @@ type fitState struct {
 	clones [][]Layer      // [worker][layer] training replicas
 	params [][]*Param     // [worker][param], aligned with netParams
 	pos    [][]positional // [worker] positional layers
-	in     []*Matrix      // [worker] shard input scratch
+	in     []*Matrix      // [worker] shard input scratch (float input)
+	inb    []*BitMatrix   // [worker] shard input scratch (packed input)
 	yb     [][]int        // [worker] shard label scratch
 	probs  []*Matrix      // [worker] shard probability scratch
 
@@ -80,7 +81,7 @@ type fitState struct {
 	hits      []int         // [shard] correct argmax count
 
 	// Per-step inputs, set by runStep before workers are released.
-	x     *Matrix
+	input fitInput
 	y     []int
 	order []int
 	start int
@@ -138,7 +139,8 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 		st.clones = append(st.clones, layers)
 		st.params = append(st.params, ps)
 		st.pos = append(st.pos, pls)
-		st.in = append(st.in, NewMatrix(maxRows, cols))
+		st.in = append(st.in, nil)
+		st.inb = append(st.inb, nil)
 		st.yb = append(st.yb, make([]int, maxRows))
 		st.probs = append(st.probs, NewMatrix(maxRows, st.classes))
 	}
@@ -171,10 +173,14 @@ func (st *fitState) startPool() {
 	if st.workers <= 1 || st.startCh != nil {
 		return
 	}
-	st.startCh = make(chan struct{}, st.workers)
+	// Workers range over their own copy of the channel: one that is
+	// handed no token before the Fit ends may first run after stopPool
+	// has reset st.startCh, and must still see the close.
+	ch := make(chan struct{}, st.workers)
+	st.startCh = ch
 	for w := 1; w < st.workers; w++ {
 		go func(w int) {
-			for range st.startCh {
+			for range ch {
 				st.runWorker(w)
 				st.wg.Done()
 			}
@@ -190,12 +196,12 @@ func (st *fitState) stopPool() {
 	}
 }
 
-// runStep trains on rows order[start : start+m] of (x, y) as training
+// runStep trains on rows order[start : start+m] of (in, y) as training
 // step `step`, leaving the merged gradients in the network parameters'
 // Grad buffers. It returns the summed cross-entropy (Σ −log p, not yet
 // divided by m) and the correct-prediction count.
-func (st *fitState) runStep(x *Matrix, y []int, order []int, start, m int, step uint64) (lossSum float64, hits int) {
-	st.x, st.y, st.order, st.start, st.m, st.step = x, y, order, start, m, step
+func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int, step uint64) (lossSum float64, hits int) {
+	st.input, st.y, st.order, st.start, st.m, st.step = in, y, order, start, m, step
 	st.cursor.Store(0)
 	if st.startCh != nil {
 		st.wg.Add(st.workers - 1)
@@ -260,19 +266,35 @@ func (st *fitState) runShard(w, v int) {
 		return
 	}
 	rows := hi - lo
-	bx := ensureMatrix(st.in[w], rows, st.cols)
-	st.in[w] = bx
+	src := st.order[st.start+lo : st.start+hi]
 	yb := st.yb[w]
-	for k := 0; k < rows; k++ {
-		src := st.order[st.start+lo+k]
-		copy(bx.Row(k), st.x.Row(src))
-		yb[k] = st.y[src]
+	for k, i := range src {
+		yb[k] = st.y[i]
 	}
 	for _, p := range st.pos[w] {
 		p.setPos(st.step, lo)
 	}
-	out := bx
-	for _, l := range st.clones[w] {
+	// The shard's rows are gathered in the input's own form, and only
+	// layer 0 sees which: packed rows reach a Dense layer 0 (train
+	// checked that before choosing the packed input).
+	layers := st.clones[w]
+	var out *Matrix
+	if xb := st.input.xb; xb != nil {
+		bx := ensureBits(st.inb[w], rows, st.cols)
+		for k, i := range src {
+			copy(bx.Row(k), xb.Row(i))
+		}
+		st.inb[w] = bx
+		out = layers[0].(*Dense).forwardBits(bx, true)
+	} else {
+		bx := ensureMatrix(st.in[w], rows, st.cols)
+		for k, i := range src {
+			copy(bx.Row(k), st.input.x.Row(i))
+		}
+		st.in[w] = bx
+		out = layers[0].Forward(bx, true)
+	}
+	for _, l := range layers[1:] {
 		out = l.Forward(out, true)
 	}
 	probs := ensureMatrix(st.probs[w], rows, st.classes)
@@ -303,11 +325,22 @@ func (st *fitState) runShard(w, v int) {
 	for i := range probs.Data {
 		probs.Data[i] *= inv
 	}
-	g := probs
-	layers := st.clones[w]
-	for i := len(layers) - 1; i >= 0; i-- {
+	backward(layers, probs)
+}
+
+// backward runs the backward pass from the loss gradient g through
+// layers; both training engines end their steps here. Layer 0's input
+// gradient has no reader, so a Dense layer 0 only accumulates its
+// parameter gradients.
+func backward(layers []Layer, g *Matrix) {
+	for i := len(layers) - 1; i > 0; i-- {
 		g = layers[i].Backward(g)
 	}
+	if d, ok := layers[0].(*Dense); ok {
+		d.backwardParams(g)
+		return
+	}
+	layers[0].Backward(g)
 }
 
 // Predictor runs batched inference through replica layers that own
@@ -319,6 +352,7 @@ func (st *fitState) runShard(w, v int) {
 type Predictor struct {
 	net    *Network
 	layers []Layer // nil: fall back to the allocating path (LSTM)
+	in     *Matrix // float expansion of packed rows (non-Dense first layer)
 }
 
 // NewPredictor builds a Predictor for the network. Networks with
@@ -356,6 +390,35 @@ func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
 	for _, l := range p.layers {
 		out = l.Forward(out, false)
 	}
+	return argmaxRows(dst, out)
+}
+
+// PredictBitsInto is PredictInto for packed {0,1} rows. A Dense first
+// layer reads the packed rows directly (Dense.forwardBits); any other
+// network predicts from the rows expanded to 0.0/1.0 floats. Either
+// way the classes are bitwise those of PredictInto on the float rows.
+func (p *Predictor) PredictBitsInto(dst []int, x *BitMatrix) []int {
+	var d *Dense
+	if p.layers != nil {
+		d, _ = p.layers[0].(*Dense)
+	}
+	if d == nil {
+		x.check()
+		p.in = x.expand(ensureMatrix(p.in, x.Rows, x.Cols))
+		return p.PredictInto(dst, p.in)
+	}
+	if cap(dst) < x.Rows {
+		dst = make([]int, x.Rows)
+	}
+	out := d.forwardBits(x, false)
+	for _, l := range p.layers[1:] {
+		out = l.Forward(out, false)
+	}
+	return argmaxRows(dst[:x.Rows], out)
+}
+
+// argmaxRows writes the argmax class of each row of out into dst.
+func argmaxRows(dst []int, out *Matrix) []int {
 	for i := range dst {
 		dst[i] = Argmax(out.Row(i))
 	}

@@ -3,9 +3,12 @@ package nn_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/bits"
 	"repro/internal/nn"
 	"repro/internal/prng"
 	"repro/internal/testkit"
@@ -27,6 +30,17 @@ func synthData(r *prng.Rand, samples, cols int) (*nn.Matrix, []int) {
 		}
 	}
 	return nn.FromRows(rows), y
+}
+
+// packRows packs the {0,1} float rows of x into a BitMatrix.
+func packRows(x *nn.Matrix) *nn.BitMatrix {
+	xb := &nn.BitMatrix{Rows: x.Rows, Cols: x.Cols}
+	w := xb.Words()
+	xb.Data = make([]uint64, x.Rows*w)
+	for i := 0; i < x.Rows; i++ {
+		bits.PackFloats(xb.Data[i*w:(i+1)*w], x.Row(i))
+	}
+	return xb
 }
 
 // paramBits snapshots every trained scalar as its exact bit pattern.
@@ -356,30 +370,73 @@ func TestFitShardedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFitReleasesWorkers: every pool worker exits when its Fit call
+// ends, including one that was handed no step and first runs after
+// the pool closed. GOMAXPROCS=1 makes that the common case: one worker
+// drains every step's tokens while the others wait to be scheduled.
+func TestFitReleasesWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net, err := nn.MLP(8, []int{4}, 2, nn.ReLU, prng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := synthData(prng.New(2), 16, 8)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := net.Fit(x, y, nn.FitConfig{Epochs: 1, BatchSize: 16, Workers: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Fit, %d after: pool workers leaked", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // BenchmarkFit measures one training epoch of the Table 3 Gimli MLP
 // shape (128-bit difference features) at serial and parallel worker
-// counts. Steady state reuses the cached engine, so allocs/op stays at
-// the per-call bookkeeping floor.
+// counts, from float rows and (the bits sub-benchmarks) from the same
+// rows packed, which trains the first layer on the packed engine.
+// Steady state reuses the cached engine, so allocs/op stays at the
+// per-call bookkeeping floor.
 func BenchmarkFit(b *testing.B) {
 	x, y := synthData(prng.New(3), 1024, 128)
+	xb := packRows(x)
+	fit := func(b *testing.B, w int, train func(*nn.Network, nn.FitConfig) error) {
+		r := prng.New(5)
+		net, err := nn.MLP(128, []int{128, 128}, 2, nn.ReLU, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := nn.FitConfig{Epochs: 1, BatchSize: 128, Seed: 9, Workers: w, Optimizer: nn.NewAdam(0)}
+		if err := train(net, cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := train(net, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			r := prng.New(5)
-			net, err := nn.MLP(128, []int{128, 128}, 2, nn.ReLU, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := nn.FitConfig{Epochs: 1, BatchSize: 128, Seed: 9, Workers: w, Optimizer: nn.NewAdam(0)}
-			if _, err := net.Fit(x, y, cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := net.Fit(x, y, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			fit(b, w, func(net *nn.Network, cfg nn.FitConfig) error {
+				_, err := net.Fit(x, y, cfg)
+				return err
+			})
+		})
+	}
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("bits/workers=%d", w), func(b *testing.B) {
+			fit(b, w, func(net *nn.Network, cfg nn.FitConfig) error {
+				_, err := net.FitBits(xb, y, cfg)
+				return err
+			})
 		})
 	}
 }

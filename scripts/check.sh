@@ -23,11 +23,19 @@
 #   - a benchmark smoke (one iteration of the training-engine
 #     benchmarks) so BenchmarkFit cannot silently rot between full
 #     `make bench` runs, skippable with CHECK_BENCH=0;
-#   - a coverage gate on internal/core and internal/nn that fails if
-#     statement coverage drops below the recorded baselines.
+#   - a coverage gate on ten packages (see the check_cover list at the
+#     end) that fails if statement coverage drops below the recorded
+#     floors;
+#   - a gofmt gate that fails and names every unformatted file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+  echo "gofmt gate: these files need gofmt -w:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 go build ./...
 go vet ./...
 go test ./...
