@@ -317,7 +317,9 @@ func BenchmarkPredictBatch(b *testing.B) {
 
 // BenchmarkMatMul measures the cache-blocked kernels at MLP III's hot
 // shapes: the input layer (128-bit differences into 1024 units) and
-// the 1024×1024 hidden layer whose weights overflow L2.
+// the 1024×1024 hidden layer whose weights overflow L2; and the Table 2
+// MLP's 128→2 output layer over one online-phase chunk of 4096
+// ReLU-sparse hidden rows, the one product narrower than a vector.
 func BenchmarkMatMul(b *testing.B) {
 	r := prng.New(11)
 	randMat := func(rows, cols int) *nn.Matrix {
@@ -341,6 +343,18 @@ func BenchmarkMatMul(b *testing.B) {
 			}
 		})
 	}
+	h := randMat(4096, 128)
+	for i, v := range h.Data {
+		h.Data[i] = math.Max(v, 0)
+	}
+	head := randMat(128, 2)
+	logits := nn.NewMatrix(4096, 2)
+	b.Run("Mul/4096x128x2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nn.MulInto(logits, h, head)
+		}
+	})
 	a := randMat(128, 1024)
 	w := randMat(1024, 1024)
 	out := nn.NewMatrix(128, 1024)

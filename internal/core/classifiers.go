@@ -112,10 +112,9 @@ const predictChunk = 4096
 // PredictBatch classifies the batch in forward passes of up to
 // predictChunk rows, routed through a cached nn.Predictor whose
 // replica layers reuse one set of scratch matrices across chunks and
-// across calls — the steady state of evalAccuracy and Distinguish
-// allocates only the returned slice. Predictions are bitwise those of
-// Net.Predict (inference is row-independent, so chunking cannot change
-// any output).
+// across calls — repeated calls allocate only the returned slice.
+// Predictions are bitwise those of Net.Predict (inference is
+// row-independent, so chunking cannot change any output).
 func (c *NNClassifier) PredictBatch(x [][]float64) []int {
 	if len(x) == 0 {
 		return nil

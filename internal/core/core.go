@@ -52,7 +52,8 @@ type Scenario interface {
 }
 
 // Sample returns one cipher output-difference feature vector for the
-// class as {0,1} floats: SampleBatch, expanded.
+// class as {0,1} floats: CipherOracle.QueryBits, which is SampleBatch,
+// expanded.
 func Sample(s Scenario, r *prng.Rand, class int) []float64 {
 	n := s.FeatureLen()
 	packed := make([]uint64, bits.PackedWords(n))
@@ -61,19 +62,13 @@ func Sample(s Scenario, r *prng.Rand, class int) []float64 {
 }
 
 // RandomSample returns what the same query would produce if the oracle
-// were a random function: a uniformly random FeatureLen-bit difference.
-// It draws one generator output per packed word, and the bits past
-// FeatureLen of the last word are dropped.
+// were a random function: a uniformly random FeatureLen-bit difference,
+// RandomOracle.QueryBits expanded.
 func RandomSample(s Scenario, r *prng.Rand) []float64 {
 	n := s.FeatureLen()
-	x := make([]float64, n)
-	for lo := 0; lo < n; lo += 64 {
-		w := r.Uint64()
-		for i := lo; i < n && i < lo+64; i++ {
-			x[i] = float64(w >> uint(i-lo) & 1)
-		}
-	}
-	return x
+	packed := make([]uint64, bits.PackedWords(n))
+	RandomOracle{S: s}.QueryBits(r, 0, packed)
+	return bits.ExpandBits(make([]float64, n), packed, n)
 }
 
 // SliceScenario is the optional wide generation path: one SampleSlice
@@ -128,8 +123,8 @@ type RelatedKeyScenario interface {
 
 // DatasetClassifier is the packed fast path of Classifier: it consumes
 // a Dataset's backing store directly instead of a materialized
-// [][]float64 view. Train and evalAccuracy prefer it when present;
-// both paths must produce identical results (the NN adapter hands the
+// [][]float64 view. Train, evalAccuracy and Distinguish prefer it when
+// present; both paths must produce identical results (the NN adapter hands the
 // packed rows to nn's packed entries, whose fitted weights and
 // predictions are byte-identical to the float ones).
 type DatasetClassifier interface {
@@ -158,17 +153,41 @@ type Classifier interface {
 // the output-difference features the attacker would compute from its
 // chosen-input queries.
 type Oracle interface {
+	// QueryBits writes one answer for the class into dst, packed in
+	// SampleBatch's layout: for a scenario of n = FeatureLen()
+	// features, dst has bits.PackedWords(n) words, every word is
+	// overwritten and the bits past n are zero. Distinguish reads the
+	// online phase through it.
+	QueryBits(r *prng.Rand, class int, dst []uint64)
+	// Query returns the same answer as {0,1} floats, consuming the
+	// same draws.
 	Query(r *prng.Rand, class int) []float64
 }
 
 // CipherOracle is the ORACLE = CIPHER case.
 type CipherOracle struct{ S Scenario }
 
+// QueryBits writes a true cipher sample for the class: SampleBatch.
+func (o CipherOracle) QueryBits(r *prng.Rand, class int, dst []uint64) {
+	o.S.SampleBatch(r, class, dst)
+}
+
 // Query returns a true cipher sample for the class.
 func (o CipherOracle) Query(r *prng.Rand, class int) []float64 { return Sample(o.S, r, class) }
 
 // RandomOracle is the ORACLE = RANDOM case.
 type RandomOracle struct{ S Scenario }
+
+// QueryBits ignores the class and writes a random difference: one
+// generator output per word, with the bits past FeatureLen cleared.
+func (o RandomOracle) QueryBits(r *prng.Rand, class int, dst []uint64) {
+	for i := range dst {
+		dst[i] = r.Uint64()
+	}
+	if tail := o.S.FeatureLen() % 64; tail != 0 {
+		dst[len(dst)-1] &= 1<<uint(tail) - 1
+	}
+}
 
 // Query ignores the class and returns a random difference.
 func (o RandomOracle) Query(r *prng.Rand, class int) []float64 { return RandomSample(o.S, r) }

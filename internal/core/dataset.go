@@ -39,6 +39,22 @@ func newDataset(n, feat int) *Dataset {
 	}
 }
 
+// resize reshapes d to n samples over its existing backing store (n
+// must not exceed the size it was allocated with) and drops the cached
+// float view, so the rows can be refilled and scored again.
+func (d *Dataset) resize(n int) {
+	d.Y = d.Y[:n]
+	d.bits = d.bits[:n*d.words]
+	d.rows = nil
+}
+
+// pastFeatures reports whether a packed row of feat features sets any
+// bit past feature feat−1 in its last word.
+func pastFeatures(row []uint64, feat int) bool {
+	tail := feat % 64
+	return tail != 0 && row[len(row)-1]>>uint(tail) != 0
+}
+
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Y) }
 

@@ -104,17 +104,21 @@ func fitDataset(c Classifier, d *Dataset) error {
 	return c.Fit(d.Rows(), d.Y)
 }
 
-// evalAccuracy scores the classifier on a labelled set. For
-// NNClassifier the call runs through its cached Predictor, which
-// chunks the set internally and reuses one set of scratch matrices
-// across chunks, so scoring large sets does not allocate per chunk;
-// the DatasetClassifier path additionally expands packed rows into
-// the predictor's input matrix without the [][]float64 detour.
+// evalAccuracy scores the classifier on a labelled set.
 func evalAccuracy(c Classifier, d *Dataset) float64 {
+	return stats.Accuracy(predictDataset(c, d), d.Y)
+}
+
+// predictDataset classifies every row of d: straight from the packed
+// backing store when the classifier understands it (DatasetClassifier;
+// NNClassifier hands the rows to its cached Predictor, which reuses one
+// set of scratch matrices across chunks and calls), through the float
+// view otherwise.
+func predictDataset(c Classifier, d *Dataset) []int {
 	if dc, ok := c.(DatasetClassifier); ok {
-		return stats.Accuracy(dc.PredictDataset(d), d.Y)
+		return dc.PredictDataset(d)
 	}
-	return stats.Accuracy(c.PredictBatch(d.Rows()), d.Y)
+	return c.PredictBatch(d.Rows())
 }
 
 // OnlineResult is the outcome of one online phase (Algorithm 2,
@@ -125,9 +129,9 @@ type OnlineResult struct {
 	Verdict  stats.Verdict
 }
 
-// distinguishBatch caps how many oracle answers are buffered before a
-// PredictBatch call, bounding memory while keeping batches large
-// enough to amortize the classifier's per-call overhead.
+// distinguishBatch caps how many oracle answers are buffered before
+// they are scored, bounding memory while keeping batches large enough
+// to amortize the classifier's per-call overhead.
 const distinguishBatch = 4096
 
 // Distinguish runs the online phase against an oracle: make queries
@@ -137,12 +141,13 @@ const distinguishBatch = 4096
 // by the offline accuracy at 4σ).
 //
 // Queries are drawn from the oracle in order (so the generator stream
-// is consumed exactly as in the per-query formulation) but scored
-// through Classifier.PredictBatch in chunks of up to 4096, which for
-// the neural classifiers replaces thousands of 1-row forward passes
-// with a few batched matrix products. NNClassifier additionally keeps
-// its prediction scratch alive between calls, so consecutive chunks
-// here reuse one set of matrices instead of allocating per chunk.
+// is consumed exactly as in the per-query formulation), packed by
+// Oracle.QueryBits straight into one reused Dataset chunk of up to 4096
+// rows, and each chunk is scored as evalAccuracy scores a dataset: the
+// neural classifiers predict from the packed rows (a few batched
+// forward passes instead of thousands of 1-row ones), the others from
+// the chunk's float view. No query allocates, and the result is that
+// of Query plus PredictBatch on the float answers.
 func (d *Distinguisher) Distinguish(o Oracle, queries int, r *prng.Rand) (OnlineResult, error) {
 	t := d.Scenario.Classes()
 	if queries <= 0 {
@@ -152,28 +157,22 @@ func (d *Distinguisher) Distinguish(o Oracle, queries int, r *prng.Rand) (Online
 		}
 		queries = n
 	}
-	featLen := d.Scenario.FeatureLen()
-	chunk := queries
-	if chunk > distinguishBatch {
-		chunk = distinguishBatch
-	}
-	xs := make([][]float64, 0, chunk)
+	feat := d.Scenario.FeatureLen()
+	chunk := newDataset(min(queries, distinguishBatch), feat)
 	hits := 0
-	for done := 0; done < queries; done += len(xs) {
-		n := queries - done
-		if n > chunk {
-			n = chunk
-		}
-		xs = xs[:0]
-		for k := 0; k < n; k++ {
-			x := o.Query(r, (done+k)%t)
-			if len(x) != featLen {
-				return OnlineResult{}, fmt.Errorf("core: oracle returned %d features, want %d", len(x), featLen)
+	for done := 0; done < queries; done += chunk.Len() {
+		chunk.resize(min(queries-done, distinguishBatch))
+		for k := range chunk.Y {
+			c := (done + k) % t
+			row := chunk.Packed(k)
+			o.QueryBits(r, c, row)
+			if pastFeatures(row, feat) {
+				return OnlineResult{}, fmt.Errorf("core: oracle answer %d sets bits past its %d features", done+k, feat)
 			}
-			xs = append(xs, x)
+			chunk.Y[k] = c
 		}
-		for k, p := range d.Classifier.PredictBatch(xs) {
-			if p == (done+k)%t {
+		for k, p := range predictDataset(d.Classifier, chunk) {
+			if p == chunk.Y[k] {
 				hits++
 			}
 		}

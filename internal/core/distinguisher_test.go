@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/prng"
@@ -83,6 +84,31 @@ func TestDistinguishDefaultQueryCount(t *testing.T) {
 	}
 	if res.Verdict != stats.VerdictCipher {
 		t.Fatalf("auto-sized game failed: %+v", res)
+	}
+}
+
+// TestDistinguishDefaultQueryCountOverflow: an offline accuracy within
+// 1e-9 of 1/t (LoadDistinguisher accepts any accuracy in [0, 1]) makes
+// the auto-sized query count overflow an int. Distinguish must return
+// OnlineQueriesFor's error instead of sizing its buffer from the
+// overflowed count and panicking.
+func TestDistinguishDefaultQueryCountOverflow(t *testing.T) {
+	s, err := NewSpeckScenario(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewBitBiasClassifier(s.FeatureLen(), s.Classes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Distinguisher{Scenario: s, Classifier: c, Accuracy: 0.5 + 1e-9}
+	_, err = d.Distinguish(CipherOracle{S: s}, 0, prng.New(1))
+	_, want := stats.OnlineQueriesFor(d.Accuracy, s.Classes(), 4)
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Distinguish error %v, want OnlineQueriesFor's error %v", err, want)
+	}
+	if _, err := d.Complexity(); err == nil {
+		t.Fatal("Complexity accepted an overflowing query count")
 	}
 }
 
@@ -239,17 +265,40 @@ func TestGenerateDatasetBalance(t *testing.T) {
 	}
 }
 
+// TestDistinguishRejectsBadOracle: on a 32-feature scenario, whose
+// packed answer leaves 32 bits of its word free, an oracle that sets
+// one of them is refused with an error, not scored or a panic.
 func TestDistinguishRejectsBadOracle(t *testing.T) {
-	d := quickTrain(t, 4)
-	bad := oracleFunc(func(r *prng.Rand, class int) []float64 { return make([]float64, 3) })
-	if _, err := d.Distinguish(bad, 10, prng.New(1)); err == nil {
-		t.Fatal("wrong-width oracle accepted")
+	s, err := NewSpeckScenario(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewMLPClassifier(s.FeatureLen(), s.Classes(), 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Distinguisher{Scenario: s, Classifier: c, Accuracy: 0.9}
+	bad := oracleFunc(func(r *prng.Rand, class int, dst []uint64) {
+		s.SampleBatch(r, class, dst)
+		dst[0] |= 1 << 63
+	})
+	_, err = d.Distinguish(bad, 10, prng.New(1))
+	if err == nil {
+		t.Fatal("answer with bits past FeatureLen accepted")
+	}
+	if !strings.Contains(err.Error(), "features") {
+		t.Fatalf("unhelpful error: %v", err)
 	}
 }
 
-type oracleFunc func(r *prng.Rand, class int) []float64
+// oracleFunc is an Oracle answering through a packed-answer function.
+type oracleFunc func(r *prng.Rand, class int, dst []uint64)
 
-func (f oracleFunc) Query(r *prng.Rand, class int) []float64 { return f(r, class) }
+func (f oracleFunc) QueryBits(r *prng.Rand, class int, dst []uint64) { f(r, class, dst) }
+
+func (f oracleFunc) Query(r *prng.Rand, class int) []float64 {
+	panic("core: Distinguish must read answers through QueryBits")
+}
 
 func TestNNClassifierTable3Wrapper(t *testing.T) {
 	c, err := NewTable3Classifier("mlp2", 128, 1)

@@ -165,25 +165,24 @@ func TestGenerateDatasetInterleavesClasses(t *testing.T) {
 	}
 }
 
-// badOracle returns feature vectors of the wrong length after a few
-// good answers, exercising the batched validation path.
+// badOracle answers like the cipher, but after a few good answers it
+// sets a bit past FeatureLen, exercising the batched validation path.
 type badOracle struct {
-	S    Scenario
+	CipherOracle
 	good int // number of valid answers before misbehaving
 	n    int
 }
 
-func (o *badOracle) Query(r *prng.Rand, class int) []float64 {
-	o.n++
-	if o.n > o.good {
-		return make([]float64, 3) // wrong length
+func (o *badOracle) QueryBits(r *prng.Rand, class int, dst []uint64) {
+	o.CipherOracle.QueryBits(r, class, dst)
+	if o.n++; o.n > o.good {
+		dst[len(dst)-1] |= 1 << 40
 	}
-	return Sample(o.S, r, class)
 }
 
 // TestDistinguishRejectsMisbehavingOracle checks that the batched
 // online phase still errors cleanly (no panic, no silent scoring) when
-// the oracle returns a vector of the wrong width mid-batch.
+// the oracle sets a bit past FeatureLen in the middle of a batch.
 func TestDistinguishRejectsMisbehavingOracle(t *testing.T) {
 	s, err := NewSpeckScenario(3)
 	if err != nil {
@@ -197,9 +196,9 @@ func TestDistinguishRejectsMisbehavingOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.Distinguish(&badOracle{S: s, good: 10}, 64, prng.New(4))
+	_, err = d.Distinguish(&badOracle{CipherOracle: CipherOracle{S: s}, good: 10}, 64, prng.New(4))
 	if err == nil {
-		t.Fatal("Distinguish accepted a 3-feature answer for a 32-feature scenario")
+		t.Fatal("Distinguish accepted an answer with bit 40 set for a 32-feature scenario")
 	}
 	if !strings.Contains(err.Error(), "features") {
 		t.Fatalf("unhelpful error: %v", err)

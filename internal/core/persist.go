@@ -186,11 +186,9 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	}
 	// Bits past Feat in a row's last word hold no feature; a packed
 	// consumer indexing by bit position must never see one.
-	if tail := df.Feat % 64; tail != 0 {
-		for i := 0; i < len(df.Y); i++ {
-			if df.Bits[(i+1)*words-1]>>tail != 0 {
-				return nil, fmt.Errorf("core: dataset row %d has bits set past feature %d", i, df.Feat)
-			}
+	for i := range df.Y {
+		if pastFeatures(df.Bits[i*words:(i+1)*words], df.Feat) {
+			return nil, fmt.Errorf("core: dataset row %d has bits set past feature %d", i, df.Feat)
 		}
 	}
 	d := newDataset(len(df.Y), df.Feat)

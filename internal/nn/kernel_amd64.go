@@ -17,6 +17,9 @@ func axpy2AVX2(o, b0, b1 *float64, a0, a1 float64, m4 int)
 //go:noescape
 func axpy1AVX2(o, b0 *float64, a0 float64, m4 int)
 
+//go:noescape
+func mulNarrowAVX2(o, a, b *float64, n, k, m int, mask *[4]int64)
+
 // mulNTRangeAccel computes rows [lo, hi) of A·Bᵀ with the 2×2
 // register-tiled AVX2 dot kernel. Each output element's value is
 // assembled exactly as the scalar path's: four stride-4 partials
@@ -153,12 +156,17 @@ func mulTNAccRangeAccel(acc []float64, a, b *Matrix, lo, hi int) bool {
 // addition chain as the scalar zero-skip kernel — one rounding per
 // nonzero k, ascending — while halving the output-row load/store
 // traffic. The last ragged columns (m mod 4) run the same pairing in
-// scalar code.
+// scalar code. A product narrower than one vector (m < 4) takes
+// mulNarrowRange instead.
 func mulRangeAccel(out, a, b *Matrix, lo, hi int) bool {
 	if !useMulAVX2 {
 		return false
 	}
 	m := b.Cols
+	if m < 4 {
+		mulNarrowRange(out, a, b, lo, hi)
+		return true
+	}
 	m4 := m &^ 3
 	for kb := 0; kb < a.Cols; kb += mulKBlock {
 		ke := kb + mulKBlock
@@ -205,6 +213,29 @@ func mulRangeAccel(out, a, b *Matrix, lo, hi int) bool {
 		}
 	}
 	return true
+}
+
+// mulNarrowRange accumulates rows [lo, hi) of A·B for B with fewer
+// than 4 columns, such as a classifier's 128→2 output layer: there the
+// axpy kernels get no full vector to work on, and the zero-skip's
+// data-dependent branch mispredicts on ReLU-sparse rows. Each output
+// element is instead one register chain over k ascending
+// (mulNarrowAVX2) that adds every product, masked to +0 where the A
+// entry is ±0. MulInto zeroes out first, so every chain starts at +0;
+// round-to-nearest addition yields −0 only from two −0 operands, so a
+// chain never becomes −0 and adding +0 leaves it unchanged. The result
+// is therefore bit-identical to skipping those terms, even where the
+// skipped product would have been NaN (0·Inf).
+func mulNarrowRange(out, a, b *Matrix, lo, hi int) {
+	k, m := a.Cols, b.Cols
+	if k == 0 || m == 0 || lo >= hi {
+		return
+	}
+	var mask [4]int64
+	for j := 0; j < m; j++ {
+		mask[j] = -1
+	}
+	mulNarrowAVX2(&out.Data[lo*m], &a.Data[lo*k], &b.Data[0], hi-lo, k, m, &mask)
 }
 
 // addRows adds b0 into o (o[j] += b0[j]) — the packed first layer's

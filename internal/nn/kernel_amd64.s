@@ -189,3 +189,106 @@ tail4:
 done:
 	VZEROUPPER
 	RET
+
+// mulNarrowAVX2 accumulates n rows of A·B into o for B with m < 4
+// columns (a is n×k, b is k×m, o is n×m, all row-major; k > 0). Lane j
+// of a row's accumulator register is output element j's chain: for k
+// ascending it adds a[kk]·b[kk][j], ANDed to +0 where a[kk] is ±0
+// (VCMPPD predicate 4, NEQ_UQ, keeps NaN entries as the zero-skip
+// does). mask holds all ones in lanes j < m, so the masked loads and
+// stores never touch memory past a row. Rows run four at a time, four
+// independent chains in flight.
+//
+// func mulNarrowAVX2(o, a, b *float64, n, k, m int, mask *[4]int64)
+TEXT ·mulNarrowAVX2(SB), NOSPLIT, $0-56
+	MOVQ o+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ k+32(FP), DX
+	MOVQ m+40(FP), R9
+	MOVQ mask+48(FP), AX
+	VMOVDQU (AX), Y15
+	VXORPD  Y14, Y14, Y14
+	SHLQ $3, DX            // a row stride in bytes
+	SHLQ $3, R9            // b and o row stride in bytes
+
+rows4:
+	CMPQ CX, $4
+	JL   rows1
+	LEAQ (SI)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+	LEAQ (DI)(R9*1), R13
+	LEAQ (R13)(R9*1), R14
+	VMASKMOVPD (DI), Y15, Y0
+	VMASKMOVPD (R13), Y15, Y1
+	VMASKMOVPD (R14), Y15, Y2
+	VMASKMOVPD (R14)(R9*1), Y15, Y3
+	XORQ AX, AX
+	MOVQ R8, BX
+
+k4:
+	VMASKMOVPD   (BX), Y15, Y4
+	VBROADCASTSD (SI)(AX*1), Y5
+	VCMPPD       $4, Y14, Y5, Y6
+	VMULPD       Y4, Y5, Y5
+	VANDPD       Y6, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (R10)(AX*1), Y7
+	VCMPPD       $4, Y14, Y7, Y8
+	VMULPD       Y4, Y7, Y7
+	VANDPD       Y8, Y7, Y7
+	VADDPD       Y7, Y1, Y1
+	VBROADCASTSD (R11)(AX*1), Y9
+	VCMPPD       $4, Y14, Y9, Y10
+	VMULPD       Y4, Y9, Y9
+	VANDPD       Y10, Y9, Y9
+	VADDPD       Y9, Y2, Y2
+	VBROADCASTSD (R12)(AX*1), Y11
+	VCMPPD       $4, Y14, Y11, Y12
+	VMULPD       Y4, Y11, Y11
+	VANDPD       Y12, Y11, Y11
+	VADDPD       Y11, Y3, Y3
+	ADDQ $8, AX
+	ADDQ R9, BX
+	CMPQ AX, DX
+	JL   k4
+
+	VMASKMOVPD Y0, Y15, (DI)
+	VMASKMOVPD Y1, Y15, (R13)
+	VMASKMOVPD Y2, Y15, (R14)
+	VMASKMOVPD Y3, Y15, (R14)(R9*1)
+	LEAQ (R12)(DX*1), SI
+	LEAQ (R14)(R9*2), DI
+	SUBQ $4, CX
+	JMP  rows4
+
+rows1:
+	TESTQ CX, CX
+	JLE   done
+	VMASKMOVPD (DI), Y15, Y0
+	XORQ AX, AX
+	MOVQ R8, BX
+
+k1:
+	VMASKMOVPD   (BX), Y15, Y4
+	VBROADCASTSD (SI)(AX*1), Y5
+	VCMPPD       $4, Y14, Y5, Y6
+	VMULPD       Y4, Y5, Y5
+	VANDPD       Y6, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ $8, AX
+	ADDQ R9, BX
+	CMPQ AX, DX
+	JL   k1
+
+	VMASKMOVPD Y0, Y15, (DI)
+	ADDQ DX, SI
+	ADDQ R9, DI
+	DECQ CX
+	JMP  rows1
+
+done:
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/prng"
@@ -86,18 +87,29 @@ func TestMulTNAccAVX2Accumulates(t *testing.T) {
 	matricesBitIdentical(t, "MulTNAcc", got, want)
 }
 
-// TestMulAVX2BitIdentical: the vector axpy MulInto kernel must match
-// the scalar zero-skip kernel to the last bit, including when A is
-// sparse (odd runs of zeros exercise the pair/single split).
+// TestMulAVX2BitIdentical: the vector axpy MulInto kernel, and the
+// masked-chain kernel of products narrower than one vector (1–3 output
+// columns, the classifier head's 128→2), must match the scalar
+// zero-skip kernel to the last bit, including when A is sparse (odd
+// runs of zeros exercise the pair/single split), when rows are
+// ReLU-sparse, when k crosses the mulKBlock panel (300), and when A and
+// B hold ±0, NaN, ±Inf and subnormals. An Inf weight at a zero input is
+// where adding 0·w (NaN) would differ from skipping the term.
 func TestMulAVX2BitIdentical(t *testing.T) {
 	if !useMulAVX2 {
 		t.Skip("no AVX2")
 	}
 	r := prng.New(0x51cf)
-	shapes := [][3]int{{1, 1, 1}, {2, 3, 2}, {3, 5, 7}, {4, 300, 6}, {5, 257, 131}, {2, 1024, 9}}
+	shapes := [][3]int{{1, 1, 1}, {2, 3, 2}, {3, 5, 7}, {4, 300, 6}, {5, 257, 131}, {2, 1024, 9},
+		{1, 128, 1}, {7, 128, 2}, {9, 128, 3}, {4, 300, 1}, {13, 300, 2}, {6, 300, 3}, {64, 128, 2},
+		{131, 128, 2}, {257, 300, 3}} // the last two are large enough for MulInto to split rows
 	for trial := 0; trial < 12; trial++ {
 		shapes = append(shapes, [3]int{1 + r.Intn(9), 1 + r.Intn(300), 1 + r.Intn(140)})
+		shapes = append(shapes, [3]int{1 + r.Intn(9), 1 + r.Intn(300), 1 + r.Intn(3)})
 	}
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	specials := []float64{0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), sub, -sub, 3 * sub, math.MaxFloat64}
 	for _, sh := range shapes {
 		n, k, m := sh[0], sh[1], sh[2]
 		a := randMatrix(r, n, k)
@@ -111,5 +123,47 @@ func TestMulAVX2BitIdentical(t *testing.T) {
 		var want *Matrix
 		forceScalarMul(func() { want = Mul(a, b) })
 		matricesBitIdentical(t, "Mul", got, want)
+
+		// ReLU-sparse rows (a hidden layer's output: exact +0 wherever
+		// the pre-activation was not positive) salted with special
+		// values in A and B. Column 0 of A is ±0 in every row and row 0
+		// of B starts with ±Inf, so every output row meets a zero input
+		// times an infinite weight.
+		for i := range a.Data {
+			a.Data[i] = math.Max(r.NormFloat64(), 0)
+			if r.Intn(8) == 0 {
+				a.Data[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		for i := range b.Data {
+			if r.Intn(8) == 0 {
+				b.Data[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		for i := 0; i < n; i++ {
+			a.Data[i*k] = []float64{0, negZero}[i%2]
+		}
+		b.Data[0] = []float64{math.Inf(1), math.Inf(-1)}[r.Intn(2)]
+		got = Mul(a, b)
+		forceScalarMul(func() { want = Mul(a, b) })
+		matricesSameValues(t, "Mul (special values)", got, want)
+	}
+}
+
+// matricesSameValues is matricesBitIdentical except that any NaN
+// matches any NaN: IEEE 754 leaves the payload of an operation on two
+// NaNs to the implementation, and the compiled scalar kernel and the
+// vector kernels may order such operands differently. Everything else,
+// the sign of zero included, must match bit for bit.
+func matricesSameValues(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %d×%d, want %d×%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, g := range got.Data {
+		w := want.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d = %x, scalar %x", what, i, math.Float64bits(g), math.Float64bits(w))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/prng"
 )
@@ -338,16 +339,19 @@ func (a *Activation) Forward(x *Matrix, train bool) *Matrix {
 		out = NewMatrix(x.Rows, x.Cols)
 	}
 	// The kind switch is hoisted out of the element loops; each loop
-	// body is actForward's expression for that kind.
+	// body computes actForward's value for that kind.
 	dst := out.Data[:len(x.Data)]
 	switch a.Kind {
 	case ReLU:
+		// A branch-free select: the sign of a hidden unit is data, so a
+		// v > 0 branch mispredicts on about half the elements. v > 0
+		// exactly when its bits lie in [1, +Inf's bits], that is when
+		// bits−1 is below +Inf's bits; the borrow of that subtraction
+		// keeps v and turns ±0, negatives and NaN into +0.
 		for i, v := range x.Data {
-			if v > 0 {
-				dst[i] = v
-			} else {
-				dst[i] = 0
-			}
+			b := math.Float64bits(v)
+			_, keep := bits.Sub64(b-1, 0x7ff0000000000000, 0)
+			dst[i] = math.Float64frombits(b & -keep)
 		}
 	case LeakyReLU:
 		for i, v := range x.Data {

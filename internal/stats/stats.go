@@ -185,7 +185,9 @@ func Decide(a float64, t int, aPrime float64, n int, sigmas float64) (Verdict, e
 
 // OnlineQueriesFor returns an estimate of the number of online
 // predictions needed to separate accuracy a from 1/t at the given
-// number of sigmas: the gap must exceed 2·sigmas·σ(mid).
+// number of sigmas: the gap must exceed 2·sigmas·σ(mid). It returns an
+// error when t < 2, when a does not exceed 1/t, or when the count is
+// not finite or not a positive int.
 func OnlineQueriesFor(a float64, t int, sigmas float64) (int, error) {
 	if t < 2 {
 		return 0, fmt.Errorf("stats: need t ≥ 2 classes, got %d", t)
@@ -197,8 +199,14 @@ func OnlineQueriesFor(a float64, t int, sigmas float64) (int, error) {
 	}
 	mid := (a + base) / 2
 	// Solve gap/2 ≥ sigmas·sqrt(mid(1−mid)/n)  for n.
-	n := mid * (1 - mid) * (2 * sigmas / gap) * (2 * sigmas / gap)
-	return int(math.Ceil(n)), nil
+	n := math.Ceil(mid * (1 - mid) * (2 * sigmas / gap) * (2 * sigmas / gap))
+	// Within about 1e-9 of 1/t the count no longer fits in an int, and
+	// converting it (or a NaN count) would yield a garbage query number;
+	// an accuracy above 1 gives a count below 1.
+	if !(n >= 1 && n < float64(math.MaxInt)) {
+		return 0, fmt.Errorf("stats: accuracy %v at %v sigmas needs %g online queries, not a positive int", a, sigmas, n)
+	}
+	return int(n), nil
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

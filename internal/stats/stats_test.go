@@ -192,8 +192,34 @@ func TestOnlineQueriesFor(t *testing.T) {
 	if n < 2000 || n > 100000 {
 		t.Fatalf("0.5219-accuracy query estimate %d not in the paper's 2^14.3 ballpark", n)
 	}
-	if _, err := OnlineQueriesFor(0.4, 2, 3); err == nil {
-		t.Error("accuracy below 1/t accepted")
+	// Rows that must return an error, never a count: an accuracy at or
+	// below 1/t, counts that are not finite or overflow an int (just
+	// above 1/t the count is ~1.6e19, which int conversion turned into
+	// math.MinInt64 with a nil error), and the negative count of an
+	// accuracy above 1.
+	for _, c := range []struct {
+		a      float64
+		t      int
+		sigmas float64
+	}{
+		{0.4, 2, 3},
+		{0.5, 2, 3},
+		{0.5 + 1e-9, 2, 4},
+		{1.0/3 + 1e-10, 3, 4},
+		{math.NaN(), 2, 4},
+		{0.9, 2, math.Inf(1)},
+		{0.9, 2, math.NaN()},
+		{0.9, 1, 3},
+		{2, 2, 4},
+	} {
+		if n, err := OnlineQueriesFor(c.a, c.t, c.sigmas); err == nil {
+			t.Errorf("OnlineQueriesFor(%v, %d, %v) = %d with nil error", c.a, c.t, c.sigmas, n)
+		}
+	}
+	// A large count that fits an int, even a 32-bit one, is still
+	// returned: 0.25·(8/1e-4)² = 1.6e9.
+	if n, err := OnlineQueriesFor(0.5+1e-4, 2, 4); err != nil || n < 1599000000 || n > 1601000000 {
+		t.Errorf("OnlineQueriesFor(0.5+1e-4, 2, 4) = %d, %v; want about 1.6e9", n, err)
 	}
 }
 

@@ -61,7 +61,8 @@ PREV="$(ls BENCH_*.json 2>/dev/null | grep -v "^${OUT}\$" | sort | tail -1 || tr
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-# Root package: dataset generation, batched inference, matrix kernels.
+# Root package: dataset generation, batched inference, the online phase
+# (BenchmarkOracleGameOnline), matrix kernels.
 # internal/nn: the training engine (BenchmarkFit) and kernel micro-benchmarks.
 # internal/prng: the vectorized positional draw kernels feeding the
 # sliced dataset path (BenchmarkSeedStream, BenchmarkDrawBatch).
@@ -76,7 +77,7 @@ trap 'rm -f "$TMP"' EXIT
 go test . ./internal/nn/ ./internal/prng/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
     ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ ./internal/serve/ \
     ./internal/ledger/ ./internal/cluster/ -run '^$' \
-    -bench 'Fit|GenerateDataset|PredictBatch|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
+    -bench 'Fit|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.
