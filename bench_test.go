@@ -317,9 +317,11 @@ func BenchmarkPredictBatch(b *testing.B) {
 
 // BenchmarkMatMul measures the cache-blocked kernels at MLP III's hot
 // shapes: the input layer (128-bit differences into 1024 units) and
-// the 1024×1024 hidden layer whose weights overflow L2; and the Table 2
+// the 1024×1024 hidden layer whose weights overflow L2; the Table 2
 // MLP's 128→2 output layer over one online-phase chunk of 4096
-// ReLU-sparse hidden rows, the one product narrower than a vector.
+// ReLU-sparse hidden rows, the one product narrower than a vector; and
+// that layer's backward products over one training shard of 16 rows
+// (a 128-row batch cut into 8 shards).
 func BenchmarkMatMul(b *testing.B) {
 	r := prng.New(11)
 	randMat := func(rows, cols int) *nn.Matrix {
@@ -378,6 +380,27 @@ func BenchmarkMatMul(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			nn.MulTNAcc(acc.Data, g, a)
+		}
+	})
+	// The head's backward over one shard: dW = hᵀ·g accumulates the
+	// 128×2 weight gradient from 16 ReLU-sparse hidden rows, and
+	// dx = g·Wᵀ spreads the 16×2 logit gradient back over 128 units.
+	hs := nn.NewMatrix(16, 128)
+	copy(hs.Data, h.Data)
+	gs := randMat(16, 2)
+	dW := nn.NewMatrix(128, 2)
+	b.Run("MulTN/16x128x2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nn.MulTNAcc(dW.Data, hs, gs)
+		}
+	})
+	wT := randMat(128, 2)
+	dx := nn.NewMatrix(16, 128)
+	b.Run("MulNT/16x2x128", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nn.MulNTInto(dx, gs, wT)
 		}
 	})
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*target, *classifier, *workers, *loadDist); err != nil {
+	if err := validateFlags(flagValues{
+		target: *target, classifier: *classifier, loadDist: *loadDist,
+		workers: *workers, epochs: *epochs, hidden: *hidden, train: *train, val: *val,
+		games: *games, queries: *queries,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "distinguisher:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -79,26 +84,42 @@ func main() {
 // classifierNames lists the -classifier values buildClassifier accepts.
 var classifierNames = []string{"nn", "svm", "logistic", "bitbias"}
 
+// flagValues holds the flags validateFlags checks.
+type flagValues struct {
+	target, classifier, loadDist                        string
+	workers, epochs, hidden, train, val, games, queries int
+}
+
 // validateFlags rejects bad flag values before any work starts, so a
-// typo surfaces as a usage error instead of a mid-run failure. With
-// -loaddist the scenario comes from the file, so -target is not
-// checked.
-func validateFlags(target, classifier string, workers int, loadDist string) error {
-	if workers < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d", workers)
-	}
-	if loadDist != "" {
+// typo surfaces as a usage error instead of a mid-run failure (left
+// unchecked, -epochs 0 trained the classifier's default epoch count
+// and -hidden -7 a 128-unit MLP). With -loaddist the scenario and the
+// model come from the file, so -target, -classifier and the training
+// sizes are not checked.
+func validateFlags(f flagValues) error {
+	atLeast := func(name string, v, min int) error {
+		if v < min {
+			return fmt.Errorf("-%s must be at least %d, got %d", name, min, v)
+		}
 		return nil
 	}
-	if !slices.Contains(core.ScenarioNames(), target) {
+	if err := errors.Join(atLeast("workers", f.workers, 1), atLeast("games", f.games, 0),
+		atLeast("queries", f.queries, 0)); err != nil {
+		return err
+	}
+	if f.loadDist != "" {
+		return nil
+	}
+	if !slices.Contains(core.ScenarioNames(), f.target) {
 		return fmt.Errorf("unknown -target %q (registered scenarios: %s)",
-			target, strings.Join(core.ScenarioNames(), ", "))
+			f.target, strings.Join(core.ScenarioNames(), ", "))
 	}
-	if !slices.Contains(classifierNames, classifier) {
+	if !slices.Contains(classifierNames, f.classifier) {
 		return fmt.Errorf("unknown -classifier %q (want %s)",
-			classifier, strings.Join(classifierNames, ", "))
+			f.classifier, strings.Join(classifierNames, ", "))
 	}
-	return nil
+	return errors.Join(atLeast("epochs", f.epochs, 1), atLeast("hidden", f.hidden, 1),
+		atLeast("train", f.train, 1), atLeast("val", f.val, 1))
 }
 
 // runLoaded is the online-only mode: the paper's workflow of storing

@@ -20,6 +20,18 @@ func axpy1AVX2(o, b0 *float64, a0 float64, m4 int)
 //go:noescape
 func mulNarrowAVX2(o, a, b *float64, n, k, m int, mask *[4]int64)
 
+//go:noescape
+func mulTNNarrowAVX2(acc, a, b *float64, n, rows, astride, m int, mask *[4]int64)
+
+//go:noescape
+func mulNTNarrowAVX2(o, a, b *float64, n, k, j4, ostride int)
+
+//go:noescape
+func foldShardsAVX2(p *[fitShards]*float64, n4 int)
+
+//go:noescape
+func adamAVX2(w, grad, m, v *float64, n4 int, k *[8]float64)
+
 // mulNTRangeAccel computes rows [lo, hi) of A·Bᵀ with the 2×2
 // register-tiled AVX2 dot kernel. Each output element's value is
 // assembled exactly as the scalar path's: four stride-4 partials
@@ -27,11 +39,18 @@ func mulNarrowAVX2(o, a, b *float64, n, k, m int, mask *[4]int64)
 // sequential scalar tail — so the result is bit-identical and worker
 // partitions stay invisible. Odd trailing rows/columns of a tile fall
 // back to the scalar per-element dot, which is the same arithmetic.
+// An inner dimension of 1–3 (the input gradient behind a classifier
+// head) has no 4-aligned prefix and takes mulNTNarrowRange instead;
+// k = 0, where every element is +0, stays on the scalar path.
 func mulNTRangeAccel(out, a, b *Matrix, lo, hi int) bool {
-	if !useMulAVX2 {
-		return false
-	}
 	k := a.Cols
+	switch {
+	case !useMulAVX2 || k == 0:
+		return false
+	case k < 4:
+		mulNTNarrowRange(out, a, b, lo, hi)
+		return true
+	}
 	k4 := k &^ 3
 	var s [4][4]float64
 	for jb := 0; jb < b.Rows; jb += mulJBlock {
@@ -49,11 +68,7 @@ func mulNTRangeAccel(out, a, b *Matrix, lo, hi int) bool {
 			for ; j+1 < je; j += 2 {
 				b0 := b.Data[j*k : (j+1)*k]
 				b1 := b.Data[(j+1)*k : (j+2)*k]
-				if k4 > 0 {
-					dotNT4x4AVX2(&a0[0], &a1[0], &b0[0], &b1[0], k4, &s)
-				} else {
-					s = [4][4]float64{}
-				}
+				dotNT4x4AVX2(&a0[0], &a1[0], &b0[0], &b1[0], k4, &s)
 				o0[j] = finishDotNT(a0, b0, &s[0], k4)
 				o0[j+1] = finishDotNT(a0, b1, &s[1], k4)
 				o1[j] = finishDotNT(a1, b0, &s[2], k4)
@@ -76,6 +91,28 @@ func mulNTRangeAccel(out, a, b *Matrix, lo, hi int) bool {
 	return true
 }
 
+// mulNTNarrowRange computes rows [lo, hi) of A·Bᵀ for an inner
+// dimension k of 1–3. With no 4-aligned prefix every element is the
+// chain ((+0 + a0·b0) + a1·b1) + a2·b2 that finishDotNT computes from
+// zero partials; mulNTNarrowAVX2 runs it with four output columns per
+// register, and the last cols mod 4 columns run dotNT itself.
+func mulNTNarrowRange(out, a, b *Matrix, lo, hi int) {
+	k, cols := a.Cols, b.Rows
+	if lo >= hi {
+		return
+	}
+	j4 := cols &^ 3
+	if j4 > 0 {
+		mulNTNarrowAVX2(&out.Data[lo*cols], &a.Data[lo*k], &b.Data[0], hi-lo, k, j4, cols)
+	}
+	for i := lo; i < hi; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		for j := j4; j < cols; j++ {
+			out.Data[i*cols+j] = dotNT(arow, b.Data[j*k:(j+1)*k])
+		}
+	}
+}
+
 // finishDotNT folds the kernel's four stride-4 partials and the scalar
 // tail into the final dot product, in the scalar path's exact order.
 func finishDotNT(arow, brow []float64, s *[4]float64, k4 int) float64 {
@@ -96,12 +133,18 @@ func finishDotNT(arow, brow []float64, s *[4]float64, k4 int) float64 {
 // rows are walked in mulKBlock panels so the reused b panel stays
 // cache-resident across all output rows; panel order preserves the
 // global ascending-sample chain. ReLU-sparse activation gradients make
-// the zero-skip the common case, exactly as in mulRangeAccel.
+// the zero-skip the common case, exactly as in mulRangeAccel. A product
+// narrower than one vector (m < 4, a classifier head's weight
+// gradient) takes mulTNNarrowRange instead.
 func mulTNAccRangeAccel(acc []float64, a, b *Matrix, lo, hi int) bool {
 	if !useMulAVX2 {
 		return false
 	}
 	m := b.Cols
+	if m < 4 {
+		mulTNNarrowRange(acc, a, b, lo, hi)
+		return true
+	}
 	m4 := m &^ 3
 	stride := a.Cols
 	for nb := 0; nb < a.Rows; nb += mulKBlock {
@@ -148,6 +191,33 @@ func mulTNAccRangeAccel(acc []float64, a, b *Matrix, lo, hi int) bool {
 		}
 	}
 	return true
+}
+
+// mulTNNarrowRange accumulates output rows [lo, hi) of Aᵀ·B for B with
+// fewer than 4 columns. There the axpy kernels get no full vector, and
+// the column scan's zero test branches on ReLU-sparse data. Instead
+// mulTNNarrowAVX2 keeps four output rows in registers across all
+// samples, ascending, and skips a ±0 entry of A with a blend that
+// keeps the accumulator: bit-identical to the zero-skip, including an
+// accumulator that already holds −0 and a skipped 0·Inf.
+func mulTNNarrowRange(acc []float64, a, b *Matrix, lo, hi int) {
+	m := b.Cols
+	if m == 0 || lo >= hi || a.Rows == 0 {
+		return
+	}
+	mask := laneMask(m)
+	mulTNNarrowAVX2(&acc[lo*m], &a.Data[lo], &b.Data[0], a.Rows, hi-lo, a.Cols, m, &mask)
+}
+
+// laneMask is the narrow kernels' VMASKMOVPD mask for rows of m < 4
+// doubles: all ones in lanes j < m, so loads and stores never touch
+// memory past a row.
+func laneMask(m int) [4]int64 {
+	var mask [4]int64
+	for j := 0; j < m; j++ {
+		mask[j] = -1
+	}
+	return mask
 }
 
 // mulRangeAccel accumulates rows [lo, hi) of A·B with the vector axpy
@@ -231,10 +301,7 @@ func mulNarrowRange(out, a, b *Matrix, lo, hi int) {
 	if k == 0 || m == 0 || lo >= hi {
 		return
 	}
-	var mask [4]int64
-	for j := 0; j < m; j++ {
-		mask[j] = -1
-	}
+	mask := laneMask(m)
 	mulNarrowAVX2(&out.Data[lo*m], &a.Data[lo*k], &b.Data[0], hi-lo, k, m, &mask)
 }
 
@@ -263,4 +330,32 @@ func addRows2(o, b0, b1 []float64) {
 		axpy2AVX2(&o[0], &b0[0], &b1[0], 1, 1, m4)
 	}
 	addRows2Go(o[m4:], b0[m4:], b1[m4:])
+}
+
+// foldAccel runs the training engine's shard fold (see foldShards) over
+// the longest 4-aligned prefix of the slots through foldShardsAVX2 and
+// returns its length; 0 when AVX2 is off.
+func foldAccel(s *[fitShards][]float64) int {
+	n4 := len(s[0]) &^ 3
+	if !useMulAVX2 || n4 == 0 {
+		return 0
+	}
+	var p [fitShards]*float64
+	for v := range p {
+		p[v] = &s[v][:n4][0]
+	}
+	foldShardsAVX2(&p, n4)
+	return n4
+}
+
+// adamAccel runs Adam.update's arithmetic over the longest 4-aligned
+// prefix of w through adamAVX2 and returns its length; 0 when AVX2 is
+// off. k holds the step's constants in adamAVX2's order.
+func adamAccel(w, g, m, v []float64, k *[8]float64) int {
+	n4 := len(w) &^ 3
+	if !useMulAVX2 || n4 == 0 {
+		return 0
+	}
+	adamAVX2(&w[0], &g[:n4][0], &m[:n4][0], &v[:n4][0], n4, k)
+	return n4
 }

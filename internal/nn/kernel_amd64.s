@@ -292,3 +292,306 @@ k1:
 done:
 	VZEROUPPER
 	RET
+
+// mulTNNarrowAVX2 accumulates rows output rows of Aᵀ·B into acc for B
+// with m < 4 columns — the weight gradient hᵀ·g of a classifier head
+// (a is n×astride with the rows' columns starting at a, b is n×m, acc
+// is rows×m, all row-major; n > 0). Lane j of an output row's
+// accumulator register is element j's chain: for samples in ascending
+// order it adds a[s][i]·b[s][j], and where a[s][i] is ±0 a blend keeps
+// the accumulator instead (VCMPPD predicate 4, NEQ_UQ, so NaN entries
+// are added as the zero-skip adds them). A blend, not an AND to +0:
+// acc is caller memory and may hold −0, which adding +0 would flip.
+// mask holds all ones in lanes j < m, so the masked loads and stores
+// never touch memory past a row. Output rows run four at a time.
+//
+// func mulTNNarrowAVX2(acc, a, b *float64, n, rows, astride, m int, mask *[4]int64)
+TEXT ·mulTNNarrowAVX2(SB), NOSPLIT, $0-64
+	MOVQ acc+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ rows+32(FP), DX
+	MOVQ astride+40(FP), R9
+	MOVQ m+48(FP), R10
+	MOVQ mask+56(FP), AX
+	VMOVDQU (AX), Y15
+	VXORPD  Y14, Y14, Y14
+	SHLQ $3, R9            // a row stride in bytes
+	SHLQ $3, R10           // b and acc row stride in bytes
+
+rows4:
+	CMPQ DX, $4
+	JL   rows1
+	LEAQ (DI)(R10*1), R11
+	LEAQ (R11)(R10*1), R12
+	LEAQ (R12)(R10*1), R13
+	VMASKMOVPD (DI), Y15, Y0
+	VMASKMOVPD (R11), Y15, Y1
+	VMASKMOVPD (R12), Y15, Y2
+	VMASKMOVPD (R13), Y15, Y3
+	MOVQ SI, AX
+	MOVQ R8, BX
+	MOVQ CX, R14
+
+s4:
+	VMASKMOVPD   (BX), Y15, Y4
+	VBROADCASTSD (AX), Y5
+	VCMPPD       $4, Y14, Y5, Y6
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y5
+	VBLENDVPD    Y6, Y5, Y0, Y0
+	VBROADCASTSD 8(AX), Y7
+	VCMPPD       $4, Y14, Y7, Y8
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y1, Y7
+	VBLENDVPD    Y8, Y7, Y1, Y1
+	VBROADCASTSD 16(AX), Y9
+	VCMPPD       $4, Y14, Y9, Y10
+	VMULPD       Y4, Y9, Y9
+	VADDPD       Y9, Y2, Y9
+	VBLENDVPD    Y10, Y9, Y2, Y2
+	VBROADCASTSD 24(AX), Y11
+	VCMPPD       $4, Y14, Y11, Y12
+	VMULPD       Y4, Y11, Y11
+	VADDPD       Y11, Y3, Y11
+	VBLENDVPD    Y12, Y11, Y3, Y3
+	ADDQ R9, AX
+	ADDQ R10, BX
+	DECQ R14
+	JNZ  s4
+
+	VMASKMOVPD Y0, Y15, (DI)
+	VMASKMOVPD Y1, Y15, (R11)
+	VMASKMOVPD Y2, Y15, (R12)
+	VMASKMOVPD Y3, Y15, (R13)
+	LEAQ (R13)(R10*1), DI
+	ADDQ $32, SI
+	SUBQ $4, DX
+	JMP  rows4
+
+rows1:
+	TESTQ DX, DX
+	JLE   done
+	VMASKMOVPD (DI), Y15, Y0
+	MOVQ SI, AX
+	MOVQ R8, BX
+	MOVQ CX, R14
+
+s1:
+	VMASKMOVPD   (BX), Y15, Y4
+	VBROADCASTSD (AX), Y5
+	VCMPPD       $4, Y14, Y5, Y6
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y5
+	VBLENDVPD    Y6, Y5, Y0, Y0
+	ADDQ R9, AX
+	ADDQ R10, BX
+	DECQ R14
+	JNZ  s1
+
+	VMASKMOVPD Y0, Y15, (DI)
+	ADDQ R10, DI
+	ADDQ $8, SI
+	DECQ DX
+	JMP  rows1
+
+done:
+	VZEROUPPER
+	RET
+
+// mulNTNarrowAVX2 computes n rows of A·Bᵀ into o for an inner
+// dimension k < 4 — the input gradient g·Wᵀ behind a classifier head
+// (a is n×k, b is cols×k, o is n×ostride, all row-major; 0 < k < 4).
+// It covers the first j4 columns (j4 ≡ 0 mod 4), four per register:
+// lane c of a row's accumulator is element (i, j+c), the chain
+// ((+0 + a[i][0]·b[j+c][0]) + a[i][1]·b[j+c][1]) + a[i][2]·b[j+c][2]
+// that dotNT computes when k has no 4-aligned prefix. A column group's
+// B values are loaded once, strided, and reused across all n rows.
+//
+// func mulNTNarrowAVX2(o, a, b *float64, n, k, j4, ostride int)
+TEXT ·mulNTNarrowAVX2(SB), NOSPLIT, $0-56
+	MOVQ o+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ k+32(FP), DX
+	MOVQ j4+40(FP), R9
+	MOVQ ostride+48(FP), R13
+	SHLQ $3, R13           // o row stride in bytes
+	MOVQ DX, R10
+	SHLQ $3, R10           // k·8: a row stride, b row stride
+	LEAQ (R10)(R10*1), R11 // 2k·8
+	LEAQ (R11)(R10*1), R12 // 3k·8
+
+group:
+	TESTQ R9, R9
+	JLE   done
+	// B0..B2 (Y4..Y6): column p of b rows j..j+3.
+	VMOVSD     (R8), X4
+	VMOVHPD    (R8)(R10*1), X4, X4
+	VMOVSD     (R8)(R11*1), X7
+	VMOVHPD    (R8)(R12*1), X7, X7
+	VINSERTF128 $1, X7, Y4, Y4
+	CMPQ DX, $2
+	JL   rowsinit
+	VMOVSD     8(R8), X5
+	VMOVHPD    8(R8)(R10*1), X5, X5
+	VMOVSD     8(R8)(R11*1), X7
+	VMOVHPD    8(R8)(R12*1), X7, X7
+	VINSERTF128 $1, X7, Y5, Y5
+	CMPQ DX, $3
+	JL   rowsinit
+	VMOVSD     16(R8), X6
+	VMOVHPD    16(R8)(R10*1), X6, X6
+	VMOVSD     16(R8)(R11*1), X7
+	VMOVHPD    16(R8)(R12*1), X7, X7
+	VINSERTF128 $1, X7, Y6, Y6
+
+rowsinit:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ CX, R14
+
+row:
+	VXORPD       Y0, Y0, Y0
+	VBROADCASTSD (AX), Y1
+	VMULPD       Y4, Y1, Y1
+	VADDPD       Y1, Y0, Y0
+	CMPQ DX, $2
+	JL   store
+	VBROADCASTSD 8(AX), Y2
+	VMULPD       Y5, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	CMPQ DX, $3
+	JL   store
+	VBROADCASTSD 16(AX), Y3
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y3, Y0, Y0
+
+store:
+	VMOVUPD Y0, (BX)
+	ADDQ R10, AX
+	ADDQ R13, BX
+	DECQ R14
+	JNZ  row
+
+	LEAQ (R8)(R10*4), R8   // next four b rows
+	ADDQ $32, DI           // next four o columns
+	SUBQ $4, R9
+	JMP  group
+
+done:
+	VZEROUPPER
+	RET
+
+// foldShardsAVX2 merges the first n4 elements (n4 ≡ 0 mod 4) of eight
+// shard gradient slots into the first, in the training engine's tree
+// order ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) with each left operand
+// first as in the scalar loop, and stores zeros to slots 1–7.
+//
+// func foldShardsAVX2(p *[8]*float64, n4 int)
+TEXT ·foldShardsAVX2(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), AX
+	MOVQ 0(AX), DI
+	MOVQ 8(AX), SI
+	MOVQ 16(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 32(AX), R10
+	MOVQ 40(AX), R11
+	MOVQ 48(AX), R12
+	MOVQ 56(AX), R13
+	MOVQ n4+8(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+	VXORPD Y15, Y15, Y15
+
+fold:
+	CMPQ AX, CX
+	JGE  done
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD (R8)(AX*1), Y1
+	VADDPD  (R9)(AX*1), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD (R10)(AX*1), Y2
+	VADDPD  (R11)(AX*1), Y2, Y2
+	VMOVUPD (R12)(AX*1), Y3
+	VADDPD  (R13)(AX*1), Y3, Y3
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y15, (SI)(AX*1)
+	VMOVUPD Y15, (R8)(AX*1)
+	VMOVUPD Y15, (R9)(AX*1)
+	VMOVUPD Y15, (R10)(AX*1)
+	VMOVUPD Y15, (R11)(AX*1)
+	VMOVUPD Y15, (R12)(AX*1)
+	VMOVUPD Y15, (R13)(AX*1)
+	ADDQ $32, AX
+	JMP  fold
+
+done:
+	VZEROUPPER
+	RET
+
+// adamAVX2 applies one Adam step to the first n4 elements (n4 ≡ 0
+// mod 4) of w, with gradient grad and moments m and v. k holds β1, 1−β1,
+// β2, 1−β2, lr, ε and this step's bias corrections c1 and c2. Each
+// lane runs Adam.update's scalar operations in their order, left
+// operand first, with no FMA:
+//
+//	m ← β1·m + (1−β1)·g
+//	v ← β2·v + ((1−β2)·g)·g
+//	w ← w − (lr·(m/c1)) / (√(v/c2) + ε)
+//
+// VMULPD, VADDPD, VSUBPD, VDIVPD and VSQRTPD round exactly like their
+// scalar forms, so the result is bit-identical.
+//
+// func adamAVX2(w, grad, m, v *float64, n4 int, k *[8]float64)
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ n4+32(FP), CX
+	MOVQ k+40(FP), AX
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
+	SHLQ $3, CX
+	XORQ AX, AX
+
+adam:
+	CMPQ AX, CX
+	JGE  done
+	VMOVUPD (SI)(AX*1), Y0
+	VMULPD  (R8)(AX*1), Y8, Y1
+	VMULPD  Y0, Y9, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (R8)(AX*1)
+	VMULPD  (R9)(AX*1), Y10, Y3
+	VMULPD  Y0, Y11, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)(AX*1)
+	VDIVPD  Y14, Y1, Y1
+	VDIVPD  Y15, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y13, Y3, Y3
+	VMULPD  Y1, Y12, Y1
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI)(AX*1), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)(AX*1)
+	ADDQ $32, AX
+	JMP  adam
+
+done:
+	VZEROUPPER
+	RET

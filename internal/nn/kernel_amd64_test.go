@@ -3,6 +3,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -94,7 +95,9 @@ func TestMulTNAccAVX2Accumulates(t *testing.T) {
 // runs of zeros exercise the pair/single split), when rows are
 // ReLU-sparse, when k crosses the mulKBlock panel (300), and when A and
 // B hold ±0, NaN, ±Inf and subnormals. An Inf weight at a zero input is
-// where adding 0·w (NaN) would differ from skipping the term.
+// where adding 0·w (NaN) would differ from skipping the term. The
+// head's backward products get the same treatment in
+// checkNarrowBackward.
 func TestMulAVX2BitIdentical(t *testing.T) {
 	if !useMulAVX2 {
 		t.Skip("no AVX2")
@@ -147,6 +150,83 @@ func TestMulAVX2BitIdentical(t *testing.T) {
 		got = Mul(a, b)
 		forceScalarMul(func() { want = Mul(a, b) })
 		matricesSameValues(t, "Mul (special values)", got, want)
+	}
+	checkNarrowBackward(t, r, specials)
+}
+
+// checkNarrowBackward compares the narrow AVX2 kernels of a classifier
+// head's backward pass with the scalar kernels: MulTNAcc with 1–3
+// output columns (dW = hᵀ·g, h ReLU-sparse) and MulNT with an inner
+// dimension of 1–3 (dx = g·Wᵀ). Shapes include one sample or row, 13
+// and 130 hidden units (not multiples of 4), and sizes large enough
+// for MulTNAcc and MulNTInto to split rows across goroutines. The
+// MulTNAcc accumulator starts with −0 in some entries, and one column
+// of h is ±0 in every sample, so that row of the accumulator must stay
+// exactly as it was: −0 where it was −0.
+func checkNarrowBackward(t *testing.T, r *prng.Rand, specials []float64) {
+	t.Helper()
+	negZero := math.Copysign(0, -1)
+	shapes := [][3]int{{1, 1, 1}, {1, 128, 2}, {16, 128, 2}, {16, 13, 3}, {5, 7, 1}, {16, 130, 2},
+		{1024, 128, 2}, {4096, 128, 3}, {2048, 13, 1}}
+	for trial := 0; trial < 12; trial++ {
+		shapes = append(shapes, [3]int{1 + r.Intn(40), 1 + r.Intn(140), 1 + r.Intn(3)})
+	}
+	for _, sh := range shapes {
+		n, hidden, classes := sh[0], sh[1], sh[2]
+		for _, salted := range []bool{false, true} {
+			h := randMatrix(r, n, hidden)
+			g := randMatrix(r, n, classes)
+			w := randMatrix(r, hidden, classes)
+			for i := range h.Data {
+				h.Data[i] = math.Max(h.Data[i], 0)
+			}
+			if salted {
+				for _, m := range []*Matrix{h, g, w} {
+					for i := range m.Data {
+						if r.Intn(8) == 0 {
+							m.Data[i] = specials[r.Intn(len(specials))]
+						}
+					}
+				}
+			}
+			zeroCol := r.Intn(hidden)
+			for s := 0; s < n; s++ {
+				h.Data[s*hidden+zeroCol] = []float64{0, negZero}[s%2]
+			}
+			acc := randMatrix(r, hidden, classes)
+			for i := range acc.Data {
+				if r.Intn(3) == 0 {
+					acc.Data[i] = negZero
+				}
+			}
+			for j := 0; j < classes; j++ {
+				acc.Data[zeroCol*classes+j] = negZero
+			}
+			got, want := acc.Clone(), acc.Clone()
+			MulTNAcc(got.Data, h, g)
+			forceScalarMul(func() { MulTNAcc(want.Data, h, g) })
+			what := fmt.Sprintf("MulTNAcc %d×%dᵀ·%d×%d salted=%v", n, hidden, n, classes, salted)
+			if salted {
+				matricesSameValues(t, what, got, want)
+			} else {
+				matricesBitIdentical(t, what, got, want)
+			}
+			for j := 0; j < classes; j++ {
+				if b := math.Float64bits(got.Data[zeroCol*classes+j]); b != math.Float64bits(negZero) {
+					t.Fatalf("%s: accumulator row %d of an all-zero column became %x, want −0", what, zeroCol, b)
+				}
+			}
+
+			gotNT := MulNT(g, w)
+			var wantNT *Matrix
+			forceScalarMul(func() { wantNT = MulNT(g, w) })
+			what = fmt.Sprintf("MulNT %d×%d·%d×%dᵀ salted=%v", n, classes, hidden, classes, salted)
+			if salted {
+				matricesSameValues(t, what, gotNT, wantNT)
+			} else {
+				matricesBitIdentical(t, what, gotNT, wantNT)
+			}
+		}
 	}
 }
 

@@ -325,9 +325,7 @@ func actGrad(kind ActKind, v float64) float64 {
 // inference on replicas) reuse a per-layer scratch buffer; the value is
 // consumed within the step, so the reuse is invisible to callers.
 func (a *Activation) Forward(x *Matrix, train bool) *Matrix {
-	if a.Dim > 0 && x.Cols != a.Dim {
-		panic(fmt.Sprintf("nn: %s got input width %d, want %d", a.Name(), x.Cols, a.Dim))
-	}
+	a.checkWidth(x)
 	var out *Matrix
 	if train || a.scratchEval {
 		if train {
@@ -338,20 +336,47 @@ func (a *Activation) Forward(x *Matrix, train bool) *Matrix {
 	} else {
 		out = NewMatrix(x.Rows, x.Cols)
 	}
-	// The kind switch is hoisted out of the element loops; each loop
-	// body computes actForward's value for that kind.
+	a.apply(out, x)
+	return out
+}
+
+// forwardInPlace is inference-mode Forward writing over x, for a
+// Predictor whose x is scratch that nothing reads afterwards.
+func (a *Activation) forwardInPlace(x *Matrix) *Matrix {
+	a.checkWidth(x)
+	a.apply(x, x)
+	return x
+}
+
+func (a *Activation) checkWidth(x *Matrix) {
+	if a.Dim > 0 && x.Cols != a.Dim {
+		panic(fmt.Sprintf("nn: %s got input width %d, want %d", a.Name(), x.Cols, a.Dim))
+	}
+}
+
+// positiveMask is all ones when v > 0 and zero otherwise, without a
+// branch: the sign of a hidden unit is data, so a v > 0 branch
+// mispredicts on about half the elements. v > 0 exactly when its bits
+// lie in [1, +Inf's bits], that is when bits−1 is below +Inf's bits;
+// the borrow of that subtraction is the answer, and ±0, negatives and
+// NaN give none.
+func positiveMask(v float64) uint64 {
+	_, keep := bits.Sub64(math.Float64bits(v)-1, 0x7ff0000000000000, 0)
+	return -keep
+}
+
+// apply writes the nonlinearity of x's elements into out, which may be
+// x itself: each element is read before it is written. The kind switch
+// is hoisted out of the element loops; each loop body computes
+// actForward's value for that kind.
+func (a *Activation) apply(out, x *Matrix) {
 	dst := out.Data[:len(x.Data)]
 	switch a.Kind {
 	case ReLU:
-		// A branch-free select: the sign of a hidden unit is data, so a
-		// v > 0 branch mispredicts on about half the elements. v > 0
-		// exactly when its bits lie in [1, +Inf's bits], that is when
-		// bits−1 is below +Inf's bits; the borrow of that subtraction
-		// keeps v and turns ±0, negatives and NaN into +0.
+		// Keeping v's bits under positiveMask turns ±0, negatives and
+		// NaN into +0.
 		for i, v := range x.Data {
-			b := math.Float64bits(v)
-			_, keep := bits.Sub64(b-1, 0x7ff0000000000000, 0)
-			dst[i] = math.Float64frombits(b & -keep)
+			dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(v))
 		}
 	case LeakyReLU:
 		for i, v := range x.Data {
@@ -372,7 +397,6 @@ func (a *Activation) Forward(x *Matrix, train bool) *Matrix {
 	default:
 		panic("nn: unknown activation")
 	}
-	return out
 }
 
 // Backward multiplies the incoming gradient by the activation's
@@ -385,25 +409,21 @@ func (a *Activation) Backward(grad *Matrix) *Matrix {
 	a.gout = ensureMatrix(a.gout, grad.Rows, grad.Cols)
 	// As in Forward, the switch is hoisted and each loop multiplies by
 	// actGrad's value for that kind: g·0 (not a literal 0) keeps the
-	// sign of zero and NaN propagation of the reference.
+	// sign of zero and NaN propagation of the reference. ReLU and
+	// LeakyReLU pick the derivative's bits under positiveMask, without
+	// a branch.
 	dst := a.gout.Data[:len(grad.Data)]
 	xs := a.x.Data[:len(grad.Data)]
+	const one = 0x3ff0000000000000 // math.Float64bits(1)
 	switch a.Kind {
 	case ReLU:
 		for i, g := range grad.Data {
-			d := 0.0
-			if xs[i] > 0 {
-				d = 1
-			}
-			dst[i] = g * d
+			dst[i] = g * math.Float64frombits(one&positiveMask(xs[i]))
 		}
 	case LeakyReLU:
+		alpha := math.Float64bits(LeakyAlpha)
 		for i, g := range grad.Data {
-			d := LeakyAlpha
-			if xs[i] > 0 {
-				d = 1
-			}
-			dst[i] = g * d
+			dst[i] = g * math.Float64frombits(alpha^(alpha^one)&positiveMask(xs[i]))
 		}
 	case Sigmoid:
 		for i, g := range grad.Data {

@@ -111,16 +111,6 @@ func zeroFloats(v []float64) {
 	}
 }
 
-// addFloats accumulates src into dst elementwise. It is the primitive
-// the training engine's fixed-order gradient tree reduction is built
-// from: each element's accumulation chain is a function of the operand
-// order alone, never of goroutine scheduling.
-func addFloats(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
 // parallelRows runs fn over row ranges [lo, hi) on up to GOMAXPROCS
 // goroutines. Small matrices run inline to avoid scheduling overhead.
 func parallelRows(rows int, work int, fn func(lo, hi int)) {

@@ -238,12 +238,17 @@ func (n *Network) train(in fitInput, y []int, cfg FitConfig) (*History, error) {
 // fitSharded is the data-parallel deterministic training loop: every
 // mini-batch is processed by the canonical shard engine in parallel.go,
 // so results are byte-identical at any worker count and the steady
-// state allocates nothing.
+// state allocates nothing. The engine's workers also apply an
+// optimizer with a range form (Adam, SGD); any other optimizer steps
+// here, on the merged gradients.
 func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
-	params := st.netParams
 	hist := &History{}
+	st.opt, _ = opt.(rangeOptimizer)
 	st.startPool()
-	defer st.stopPool()
+	defer func() {
+		st.stopPool()
+		st.opt = nil
+	}()
 	var step uint64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.LRSchedule != nil {
@@ -259,7 +264,9 @@ func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs
 			m := end - start
 			lossSum, hits := st.runStep(in, y, order, start, m, step)
 			step++
-			opt.Step(params)
+			if st.opt == nil {
+				opt.Step(st.netParams)
+			}
 			totalLoss += lossSum
 			totalHit += hits
 			seen += m

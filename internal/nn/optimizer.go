@@ -10,6 +10,20 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
+// rangeOptimizer is an Optimizer whose update is elementwise, so the
+// sharded training engine can split it by parameter range across its
+// workers. begin runs once per step before any worker starts: it
+// advances step counters and allocates per-parameter state, so no
+// worker ever writes a map. update then applies the step to elements
+// [lo, hi) of one parameter; the engine covers every element of every
+// parameter exactly once. Step is begin plus a full-range update of
+// each parameter, so both paths run the same arithmetic.
+type rangeOptimizer interface {
+	Optimizer
+	begin(params []*Param)
+	update(p *Param, lo, hi int)
+}
+
 // SGD is plain stochastic gradient descent with optional momentum.
 type SGD struct {
 	LR       float64
@@ -27,22 +41,37 @@ func (s *SGD) Name() string { return "sgd" }
 
 // Step applies one SGD update.
 func (s *SGD) Step(params []*Param) {
+	s.begin(params)
 	for _, p := range params {
-		if s.Momentum == 0 {
-			for i := range p.W {
-				p.W[i] -= s.LR * p.Grad[i]
-			}
-			continue
+		s.update(p, 0, len(p.W))
+	}
+}
+
+// begin allocates the velocity of any parameter that has none yet.
+func (s *SGD) begin(params []*Param) {
+	if s.Momentum == 0 {
+		return
+	}
+	for _, p := range params {
+		if s.vel[p] == nil {
+			s.vel[p] = make([]float64, len(p.W))
 		}
-		v := s.vel[p]
-		if v == nil {
-			v = make([]float64, len(p.W))
-			s.vel[p] = v
+	}
+}
+
+// update applies the step to elements [lo, hi) of p.
+func (s *SGD) update(p *Param, lo, hi int) {
+	w, g := p.W[lo:hi], p.Grad[lo:hi]
+	if s.Momentum == 0 {
+		for i := range w {
+			w[i] -= s.LR * g[i]
 		}
-		for i := range p.W {
-			v[i] = s.Momentum*v[i] - s.LR*p.Grad[i]
-			p.W[i] += v[i]
-		}
+		return
+	}
+	v := s.vel[p][lo:hi]
+	for i := range w {
+		v[i] = s.Momentum*v[i] - s.LR*g[i]
+		w[i] += v[i]
 	}
 }
 
@@ -50,6 +79,7 @@ func (s *SGD) Step(params []*Param) {
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	t                     int
+	c1, c2                float64 // this step's bias corrections, set by begin
 	m, v                  map[*Param][]float64
 }
 
@@ -71,25 +101,39 @@ func (a *Adam) Name() string { return "adam" }
 
 // Step applies one Adam update with bias correction.
 func (a *Adam) Step(params []*Param) {
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.begin(params)
 	for _, p := range params {
-		m := a.m[p]
-		v := a.v[p]
-		if m == nil {
-			m = make([]float64, len(p.W))
-			v = make([]float64, len(p.W))
-			a.m[p] = m
-			a.v[p] = v
+		a.update(p, 0, len(p.W))
+	}
+}
+
+// begin advances the step count, computes its bias corrections and
+// allocates the moments of any parameter that has none yet.
+func (a *Adam) begin(params []*Param) {
+	a.t++
+	a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
+	for _, p := range params {
+		if a.m[p] == nil {
+			a.m[p] = make([]float64, len(p.W))
+			a.v[p] = make([]float64, len(p.W))
 		}
-		for i := range p.W {
-			g := p.Grad[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mHat := m[i] / c1
-			vHat := v[i] / c2
-			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+	}
+}
+
+// update applies the step to elements [lo, hi) of p. adamAccel covers
+// a vector-sized prefix with the same operations in the same order;
+// the loop below does the rest, and all of it when forced scalar.
+func (a *Adam) update(p *Param, lo, hi int) {
+	w, g := p.W[lo:hi], p.Grad[lo:hi]
+	m, v := a.m[p][lo:hi], a.v[p][lo:hi]
+	k := [8]float64{a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, a.LR, a.Eps, a.c1, a.c2}
+	for i := adamAccel(w, g, m, v, &k); i < len(w); i++ {
+		gi := g[i]
+		m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
+		v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+		mHat := m[i] / a.c1
+		vHat := v[i] / a.c2
+		w[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
 	}
 }

@@ -24,12 +24,16 @@ import (
 //     (step, batch row), so sharding does not change mask draws;
 //   - shard gradients are merged by a fixed-order pairwise tree
 //     reduction over shard indices, and shard loss/hit tallies are
-//     merged in shard order.
+//     merged in shard order;
+//   - the merge and the optimizer update are elementwise, so they run
+//     as a second phase of the step over fixed parameter chunks whose
+//     bounds depend on the parameter shapes alone.
 //
-// Workers claim shards from an atomic cursor (work stealing), but every
-// result lands in a shard-indexed slot, so which worker computed what —
-// and in which order shards complete — cannot affect a single bit of
-// the output. One worker replays the identical computation serially.
+// Workers claim shards, then chunks, from atomic cursors (work
+// stealing), but every result lands in a shard- or element-indexed
+// slot, so which worker computed what — and in which order shards and
+// chunks complete — cannot affect a single bit of the output. One
+// worker replays the identical computation serially.
 
 // fitShards is the canonical number of virtual shards each mini-batch
 // is cut into. It bounds both the useful training parallelism and the
@@ -38,6 +42,15 @@ import (
 // per-shard matrices (16 rows of a 128-sample batch) large enough to
 // amortize kernel overheads.
 const fitShards = 8
+
+// stepChunk is the number of parameter elements one claim of the
+// step's merge-and-update phase covers. It is a multiple of 4, the
+// AVX2 kernels' vector width, so only a parameter's last chunk has a
+// scalar tail.
+const stepChunk = 1024
+
+// paramChunk is elements [lo, hi) of parameter pi.
+type paramChunk struct{ pi, lo, hi int }
 
 // trainCloner is implemented by layers that can replicate themselves
 // for sharded training: the replica shares weight slices with the
@@ -79,6 +92,7 @@ type fitState struct {
 	grads     [][][]float64 // [shard][param]; grads[0][p] aliases netParams[p].Grad
 	lossSum   []float64     // [shard] Σ −log p, merged in shard order
 	hits      []int         // [shard] correct argmax count
+	chunks    []paramChunk  // the merge-and-update phase's claims
 
 	// Per-step inputs, set by runStep before workers are released.
 	input fitInput
@@ -87,10 +101,16 @@ type fitState struct {
 	start int
 	m     int
 	step  uint64
+	opt   rangeOptimizer // nil: the caller steps the optimizer after the merge
 
-	cursor  atomic.Int64
-	startCh chan struct{}
-	wg      sync.WaitGroup
+	cursor     atomic.Int64 // next shard to claim
+	shardsDone atomic.Int64 // shards finished this step
+	chunkNext  atomic.Int64 // next chunk to claim
+	mu         sync.Mutex
+	merging    sync.Cond // signalled when mergeOK is set; L is &mu
+	mergeOK    bool      // every shard of this step has finished
+	startCh    chan struct{}
+	wg         sync.WaitGroup
 }
 
 // shardedFitState returns the cached or freshly built engine for this
@@ -110,6 +130,7 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 		return st
 	}
 	st := &fitState{bs: bs, cols: cols, classes: n.Classes(), workers: workers}
+	st.merging.L = &st.mu
 	st.netParams = n.Params()
 	maxRows := (bs + fitShards - 1) / fitShards
 	for w := 0; w < workers; w++ {
@@ -162,6 +183,11 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 		}
 		st.grads[v] = gs
 	}
+	for pi, p := range st.netParams {
+		for lo := 0; lo < len(p.W); lo += stepChunk {
+			st.chunks = append(st.chunks, paramChunk{pi, lo, min(lo+stepChunk, len(p.W))})
+		}
+	}
 	n.fit = st
 	return st
 }
@@ -198,11 +224,18 @@ func (st *fitState) stopPool() {
 
 // runStep trains on rows order[start : start+m] of (in, y) as training
 // step `step`, leaving the merged gradients in the network parameters'
-// Grad buffers. It returns the summed cross-entropy (Σ −log p, not yet
+// Grad buffers and, when st.opt is set, the updated weights in their W
+// buffers. It returns the summed cross-entropy (Σ −log p, not yet
 // divided by m) and the correct-prediction count.
 func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int, step uint64) (lossSum float64, hits int) {
 	st.input, st.y, st.order, st.start, st.m, st.step = in, y, order, start, m, step
 	st.cursor.Store(0)
+	st.shardsDone.Store(0)
+	st.chunkNext.Store(0)
+	st.mergeOK = false
+	if st.opt != nil {
+		st.opt.begin(st.netParams)
+	}
 	if st.startCh != nil {
 		st.wg.Add(st.workers - 1)
 		for i := 1; i < st.workers; i++ {
@@ -213,7 +246,6 @@ func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int, ste
 	} else {
 		st.runWorker(0)
 	}
-	reduceGradTree(st.grads)
 	for v := 0; v < fitShards; v++ {
 		lossSum += st.lossSum[v]
 		hits += st.hits[v]
@@ -221,41 +253,85 @@ func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int, ste
 	return lossSum, hits
 }
 
-// reduceGradTree merges shard gradient accumulators into grads[0] by a
-// fixed-order pairwise tree: ((g0+g1)+(g2+g3)) + ((g4+g5)+(g6+g7)).
-// The order is a pure function of shard indices, so the merged bytes
-// are independent of which worker produced which accumulator and of
-// the order in which shards completed.
-func reduceGradTree(grads [][][]float64) {
-	for stride := 1; stride < len(grads); stride *= 2 {
-		for v := 0; v+stride < len(grads); v += 2 * stride {
-			a, b := grads[v], grads[v+stride]
-			for pi := range a {
-				addFloats(a[pi], b[pi])
-			}
-		}
-	}
-}
-
-// runWorker claims shards until the step's cursor is exhausted.
+// runWorker claims shards until the step's shard cursor is exhausted,
+// waits until every claimed shard has finished, then claims parameter
+// chunks to merge and update until that cursor is exhausted too. A
+// worker that runs out of shards while others still run theirs parks
+// rather than spins, so the wait burns no CPU; the worker finishing
+// the last shard starts merging at once and wakes it to help.
 func (st *fitState) runWorker(w int) {
 	for {
 		v := int(st.cursor.Add(1)) - 1
 		if v >= fitShards {
-			return
+			break
 		}
 		st.runShard(w, v)
+		if st.shardsDone.Add(1) == fitShards {
+			st.mu.Lock()
+			st.mergeOK = true
+			st.mu.Unlock()
+			st.merging.Broadcast()
+		}
+	}
+	if st.shardsDone.Load() < fitShards {
+		st.mu.Lock()
+		for !st.mergeOK {
+			st.merging.Wait()
+		}
+		st.mu.Unlock()
+	}
+	for {
+		c := int(st.chunkNext.Add(1)) - 1
+		if c >= len(st.chunks) {
+			return
+		}
+		st.mergeChunk(st.chunks[c])
+	}
+}
+
+// mergeChunk folds the shard slots' elements of one chunk into slot 0
+// (the network's Grad), zeroing slots 1–7 for the next step, and
+// applies the optimizer to the chunk.
+func (st *fitState) mergeChunk(c paramChunk) {
+	var s [fitShards][]float64
+	for v := range s {
+		s[v] = st.grads[v][c.pi][c.lo:c.hi]
+	}
+	foldShards(&s)
+	if st.opt != nil {
+		st.opt.update(st.netParams[c.pi], c.lo, c.hi)
+	}
+}
+
+// foldShards merges the eight equal-length shard slices into s[0] by
+// the fixed-order pairwise tree ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))
+// and zeroes s[1..7]. The order is a pure function of shard indices,
+// so the merged bytes are independent of which worker produced which
+// accumulator and of the order in which shards completed. foldAccel
+// covers a vector-sized prefix in the same order; the loop does the
+// rest, and all of it when forced scalar.
+func foldShards(s *[fitShards][]float64) {
+	s0, s1, s2, s3 := s[0], s[1][:len(s[0])], s[2][:len(s[0])], s[3][:len(s[0])]
+	s4, s5, s6, s7 := s[4][:len(s[0])], s[5][:len(s[0])], s[6][:len(s[0])], s[7][:len(s[0])]
+	for i := foldAccel(s); i < len(s0); i++ {
+		s0[i] = ((s0[i] + s1[i]) + (s2[i] + s3[i])) + ((s4[i] + s5[i]) + (s6[i] + s7[i]))
+		s1[i], s2[i], s3[i], s4[i], s5[i], s6[i], s7[i] = 0, 0, 0, 0, 0, 0, 0
 	}
 }
 
 // runShard runs the forward/backward pass of canonical shard v on
 // worker w's replicas, accumulating into the shard's gradient slot.
+// Slots 1–7 come in zeroed by the previous step's merge (or by
+// allocation); slot 0 holds the previous step's merged gradient and is
+// cleared here.
 func (st *fitState) runShard(w, v int) {
 	gs := st.grads[v]
 	ps := st.params[w]
 	for pi := range ps {
 		ps[pi].Grad = gs[pi]
-		zeroFloats(gs[pi])
+		if v == 0 {
+			zeroFloats(gs[pi])
+		}
 	}
 	st.lossSum[v] = 0
 	st.hits[v] = 0
@@ -386,11 +462,24 @@ func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
 		copy(dst, p.net.Predict(x))
 		return dst
 	}
-	out := x
-	for _, l := range p.layers {
-		out = l.Forward(out, false)
+	return argmaxRows(dst, forwardFrom(p.layers, x, x))
+}
+
+// forwardFrom runs the replica layers on x in inference mode. An
+// activation whose input is not the caller's matrix writes over it:
+// that input is an earlier replica's scratch, which nothing reads
+// again before the next call rewrites it, so the activation needs no
+// batch-sized buffer of its own. Only top-level layers do this; a
+// Residual body keeps its input, the skip connection, intact.
+func forwardFrom(layers []Layer, x, caller *Matrix) *Matrix {
+	for _, l := range layers {
+		if a, ok := l.(*Activation); ok && x != caller {
+			x = a.forwardInPlace(x)
+		} else {
+			x = l.Forward(x, false)
+		}
 	}
-	return argmaxRows(dst, out)
+	return x
 }
 
 // PredictBitsInto is PredictInto for packed {0,1} rows. A Dense first
@@ -410,10 +499,7 @@ func (p *Predictor) PredictBitsInto(dst []int, x *BitMatrix) []int {
 	if cap(dst) < x.Rows {
 		dst = make([]int, x.Rows)
 	}
-	out := d.forwardBits(x, false)
-	for _, l := range p.layers[1:] {
-		out = l.Forward(out, false)
-	}
+	out := forwardFrom(p.layers[1:], d.forwardBits(x, false), nil)
 	return argmaxRows(dst[:x.Rows], out)
 }
 

@@ -334,6 +334,73 @@ func TestPredictorMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestPredictorInPlaceActivations: a Predictor runs a top-level
+// activation over the previous layer's scratch, and must still match
+// Network.Predict from float and packed rows without touching the
+// caller's matrix — also when layer 0 is an activation (its input is
+// the caller's) and when a Residual body starts with one (its input is
+// the skip connection). The float rows are signed so every activation
+// changes them.
+func TestPredictorInPlaceActivations(t *testing.T) {
+	r := prng.New(78)
+	mlp, err := nn.MLP(12, []int{16, 8}, 2, nn.ReLU, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actFirst, err := nn.NewNetwork(
+		nn.NewActivation(nn.LeakyReLU, 12),
+		nn.NewDense(12, 8, r),
+		nn.NewActivation(nn.ReLU, 8),
+		nn.NewDense(8, 2, r),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := nn.NewResidual(nn.NewActivation(nn.ReLU, 12), nn.NewDense(12, 12, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	residual, err := nn.NewNetwork(nn.NewDense(12, 12, r), body, nn.NewActivation(nn.Tanh, 12), nn.NewDense(12, 3, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := nn.NewMatrix(40, 12)
+	for i := range signed.Data {
+		signed.Data[i] = r.NormFloat64()
+	}
+	bitRows, _ := synthData(prng.New(32), 40, 12)
+	packed := packRows(bitRows)
+	for name, net := range map[string]*nn.Network{"mlp": mlp, "activation-first": actFirst, "residual-activation-first": residual} {
+		t.Run(name, func(t *testing.T) {
+			p := net.NewPredictor()
+			var buf []int
+			for _, chunk := range [][2]int{{0, 40}, {3, 20}, {0, 40}} {
+				x := nn.FromRows(rowsOf(signed, chunk[0], chunk[1]))
+				keep := x.Clone()
+				want := net.Predict(x)
+				buf = p.PredictInto(buf, x)
+				for i := range want {
+					if buf[i] != want[i] {
+						t.Fatalf("rows %v: PredictInto row %d = %d, Predict %d", chunk, i, buf[i], want[i])
+					}
+				}
+				if !nn.Equalish(x, keep, 0) {
+					t.Fatalf("rows %v: PredictInto changed its input", chunk)
+				}
+				xb := nn.FromRows(rowsOf(bitRows, chunk[0], chunk[1]))
+				sub := &nn.BitMatrix{Rows: xb.Rows, Cols: xb.Cols, Data: packed.Data[chunk[0]*packed.Words() : chunk[1]*packed.Words()]}
+				want = net.Predict(xb)
+				buf = p.PredictBitsInto(buf, sub)
+				for i := range want {
+					if buf[i] != want[i] {
+						t.Fatalf("rows %v: PredictBitsInto row %d = %d, Predict %d", chunk, i, buf[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // rowsOf copies rows [lo, hi) of m into a fresh slice-of-rows.
 func rowsOf(m *nn.Matrix, lo, hi int) [][]float64 {
 	rows := make([][]float64, 0, hi-lo)
