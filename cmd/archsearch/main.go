@@ -12,16 +12,29 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/nas"
 	"repro/internal/nn"
 )
+
+// validateFlags rejects counts below 1 up front. Table3Config treats
+// such values as "use the default", so they would otherwise run a
+// different experiment than the header printed for it claims.
+func validateFlags(rounds, train, val, epochs int) error {
+	atLeast1 := func(name string, v int) error {
+		if v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", name, v)
+		}
+		return nil
+	}
+	return errors.Join(atLeast1("rounds", rounds), atLeast1("train", train),
+		atLeast1("val", val), atLeast1("epochs", epochs))
+}
 
 func main() {
 	var (
@@ -31,16 +44,13 @@ func main() {
 		val       = flag.Int("val", 2048, "validation samples per class")
 		epochs    = flag.Int("epochs", 5, "training epochs (paper: 5)")
 		seed      = flag.Uint64("seed", 2020, "experiment seed")
-		auto      = flag.Int("auto", 0, "instead of Table 3, run N trials of automated random search (Bergstra–Bengio)")
 	)
 	flag.Parse()
 
-	if *auto > 0 {
-		if err := runAuto(*auto, *rounds, *train, *val, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "archsearch:", err)
-			os.Exit(1)
-		}
-		return
+	if err := validateFlags(*rounds, *train, *val, *epochs); err != nil {
+		fmt.Fprintln(os.Stderr, "archsearch:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	cfg := experiments.Table3Config{
@@ -81,37 +91,4 @@ func main() {
 			r.Name, r.Params, r.Accuracy, r.TrainAcc, r.PaperAcc,
 			experiments.FormatDuration(r.TrainTime), note)
 	}
-}
-
-// runAuto runs the automated random architecture search of
-// internal/nas and prints the leaderboard.
-func runAuto(trials, rounds, train, val int, seed uint64) error {
-	s, err := core.NewGimliCipherScenario(rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("automated random search: %d trials on %d-round GIMLI-CIPHER (%d train/class)\n",
-		trials, rounds, train)
-	cands, err := nas.Search(s, nas.Config{
-		Trials:        trials,
-		TrainPerClass: train,
-		ValPerClass:   val,
-		Seed:          seed,
-		OnTrial: func(i int, c nas.Candidate) {
-			fmt.Fprintf(os.Stderr, "  ... trial %d: %s %s acc=%.4f (%s)\n",
-				i, c.Describe(s.FeatureLen()), c.Activation, c.Accuracy,
-				experiments.FormatDuration(c.TrainTime))
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Println("rank  architecture                 act        params    epochs  lr      accuracy  train-time")
-	for i, c := range cands {
-		fmt.Printf("%4d  %-27s  %-9s  %8d  %6d  %.4f  %8.4f  %s\n",
-			i+1, c.Describe(s.FeatureLen()), c.Activation, c.Params, c.Epochs, c.LR,
-			c.Accuracy, experiments.FormatDuration(c.TrainTime))
-	}
-	return nil
 }

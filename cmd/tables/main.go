@@ -44,7 +44,10 @@ var (
 // validateFlags rejects bad flag values up front so a typo surfaces
 // as a usage error listing what is registered, not as silent no-op
 // output or a mid-run failure.
-func validateFlags(table, figure string, workers int) error {
+func validateFlags(table, figure string, rounds, workers int) error {
+	if rounds < 1 {
+		return fmt.Errorf("-rounds must be at least 1, got %d", rounds)
+	}
 	if workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", workers)
 	}
@@ -74,7 +77,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*table, *figure, *workers); err != nil {
+	if err := validateFlags(*table, *figure, *rounds, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		flag.Usage()
 		os.Exit(2)

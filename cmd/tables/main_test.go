@@ -19,19 +19,29 @@ func captureOut(t *testing.T) *bytes.Buffer {
 
 func TestValidateFlags(t *testing.T) {
 	for _, name := range tableNames {
-		if err := validateFlags(name, "", 1); err != nil {
+		if err := validateFlags(name, "", 8, 1); err != nil {
 			t.Errorf("table %q rejected: %v", name, err)
 		}
 	}
-	if err := validateFlags("", "1", 4); err != nil {
+	if err := validateFlags("", "1", 1, 4); err != nil {
 		t.Errorf("figure 1 rejected: %v", err)
 	}
-	for _, w := range []int{0, -3} {
-		if err := validateFlags("1", "", w); err == nil {
-			t.Errorf("workers=%d accepted", w)
+	// Counts below 1 are rejected by name: -rounds 0 would otherwise run
+	// Table 3 at the default 8 rounds under a "0-round" header.
+	for _, c := range []struct {
+		flag            string
+		rounds, workers int
+	}{
+		{"-workers", 8, 0},
+		{"-workers", 8, -3},
+		{"-rounds", 0, 1},
+		{"-rounds", -2, 1},
+	} {
+		if err := validateFlags("3", "", c.rounds, c.workers); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("rounds=%d workers=%d: got %v, want an error naming %s", c.rounds, c.workers, err, c.flag)
 		}
 	}
-	err := validateFlags("99", "", 1)
+	err := validateFlags("99", "", 8, 1)
 	if err == nil {
 		t.Fatal("unknown table accepted")
 	}
@@ -40,7 +50,7 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("table error %q does not list %q", err, name)
 		}
 	}
-	if err := validateFlags("", "7", 1); err == nil ||
+	if err := validateFlags("", "7", 8, 1); err == nil ||
 		!strings.Contains(err.Error(), "registered figures") {
 		t.Errorf("unknown figure gave %v", err)
 	}

@@ -266,19 +266,26 @@ func (c *Table3Config) setDefaults() {
 }
 
 // Table3 runs the manual architecture search. progress, if non-nil,
-// receives one line per architecture.
+// receives one line per architecture. Every architecture name and the
+// round count are checked before any network trains.
 func Table3(cfg Table3Config, progress func(string)) ([]Table3Row, error) {
 	cfg.setDefaults()
 	paper := map[string]nn.Table3PaperRow{}
 	for _, r := range nn.Table3Paper {
 		paper[r.Name] = r
 	}
-	var rows []Table3Row
 	for _, name := range cfg.Archs {
-		p, ok := paper[name]
-		if !ok {
+		if _, ok := paper[name]; !ok {
 			return nil, fmt.Errorf("experiments: unknown architecture %q", name)
 		}
+	}
+	s, err := core.NewGimliCipherScenario(cfg.Rounds)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table3Row
+	for _, name := range cfg.Archs {
+		p := paper[name]
 		row := Table3Row{
 			Name:         name,
 			Architecture: p.Architecture,
@@ -286,10 +293,6 @@ func Table3(cfg Table3Config, progress func(string)) ([]Table3Row, error) {
 			PaperParams:  p.Params,
 			PaperTime:    p.TrainSeconds,
 			PaperAcc:     p.Accuracy,
-		}
-		s, err := core.NewGimliCipherScenario(cfg.Rounds)
-		if err != nil {
-			return nil, err
 		}
 		c, err := core.NewTable3Classifier(name, s.FeatureLen(), cfg.Seed)
 		if err != nil {

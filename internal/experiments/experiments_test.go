@@ -96,9 +96,15 @@ func TestTable3SingleArch(t *testing.T) {
 	}
 }
 
+// TestTable3UnknownArch: an unknown name fails the whole run before any
+// architecture trains, also when it follows a known one.
 func TestTable3UnknownArch(t *testing.T) {
-	if _, err := Table3(Table3Config{Archs: []string{"vgg16"}}, nil); err == nil {
-		t.Fatal("unknown arch accepted")
+	trained := func(line string) { t.Errorf("trained before rejecting: %s", line) }
+	for _, archs := range [][]string{{"vgg16"}, {"mlp2", "vgg16"}} {
+		cfg := Table3Config{TrainPerClass: 64, ValPerClass: 64, Epochs: 1, Archs: archs}
+		if _, err := Table3(cfg, trained); err == nil {
+			t.Errorf("%v accepted", archs)
+		}
 	}
 }
 

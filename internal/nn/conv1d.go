@@ -87,34 +87,40 @@ func (c *Conv1D) Forward(x *Matrix, train bool) *Matrix {
 	} else {
 		out = NewMatrix(x.Rows, c.OutDim())
 	}
+	if c.seq {
+		// No closure here: it would escape to the heap on every
+		// training step.
+		c.forwardRows(x, out, 0, x.Rows)
+	} else {
+		parallelRows(x.Rows, x.Rows*c.SeqLen*c.Filters*c.Kernel*c.InCh, func(lo, hi int) {
+			c.forwardRows(x, out, lo, hi)
+		})
+	}
+	return out
+}
+
+// forwardRows convolves rows [lo, hi) of x into out.
+func (c *Conv1D) forwardRows(x, out *Matrix, lo, hi int) {
 	half := c.Kernel / 2
-	rowKernel := func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			in := x.Row(n)
-			o := out.Row(n)
-			for t := 0; t < c.SeqLen; t++ {
-				for f := 0; f < c.Filters; f++ {
-					s := c.b.W[f]
-					for tap := 0; tap < c.Kernel; tap++ {
-						tt := t + tap - half
-						if tt < 0 || tt >= c.SeqLen {
-							continue
-						}
-						for ch := 0; ch < c.InCh; ch++ {
-							s += c.w.W[c.wAt(f, tap, ch)] * in[tt*c.InCh+ch]
-						}
+	for n := lo; n < hi; n++ {
+		in := x.Row(n)
+		o := out.Row(n)
+		for t := 0; t < c.SeqLen; t++ {
+			for f := 0; f < c.Filters; f++ {
+				s := c.b.W[f]
+				for tap := 0; tap < c.Kernel; tap++ {
+					tt := t + tap - half
+					if tt < 0 || tt >= c.SeqLen {
+						continue
 					}
-					o[t*c.Filters+f] = s
+					for ch := 0; ch < c.InCh; ch++ {
+						s += c.w.W[c.wAt(f, tap, ch)] * in[tt*c.InCh+ch]
+					}
 				}
+				o[t*c.Filters+f] = s
 			}
 		}
 	}
-	if c.seq {
-		rowKernel(0, x.Rows)
-	} else {
-		parallelRows(x.Rows, x.Rows*c.SeqLen*c.Filters*c.Kernel*c.InCh, rowKernel)
-	}
-	return out
 }
 
 // Backward accumulates kernel/bias gradients and returns dL/dinput.
@@ -159,13 +165,13 @@ func (c *Conv1D) Backward(grad *Matrix) *Matrix {
 // but owning caches and (engine-bound) gradient buffers. The backward
 // pass is already sample-sequential, so a replica processing one shard
 // accumulates exactly the chain a serial pass over that shard would.
-func (c *Conv1D) cloneForTrain(seq bool) Layer {
+func (c *Conv1D) cloneForTrain() Layer {
 	return &Conv1D{
 		SeqLen: c.SeqLen, InCh: c.InCh, Filters: c.Filters, Kernel: c.Kernel,
 		w:           &Param{Name: c.w.Name, W: c.w.W},
 		b:           &Param{Name: c.b.Name, W: c.b.W},
 		scratchEval: true,
-		seq:         seq,
+		seq:         true,
 	}
 }
 

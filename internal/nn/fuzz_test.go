@@ -14,17 +14,29 @@ import (
 func FuzzLoadArbitraryBytes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a model"))
-	// A valid model file as a seed so the fuzzer explores mutations of
-	// real gob structure, not just random prefixes.
-	net, err := MLP(4, []int{3}, 2, ReLU, prng.New(1))
+	// Valid model files as seeds, one per layer kind the loader
+	// accepts, so the fuzzer explores mutations of real gob structure,
+	// not just random prefixes.
+	r := prng.New(1)
+	mlp, err := MLP(4, []int{3}, 2, ReLU, r)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	cnn, err := NewNetwork(NewConv1D(4, 1, 2, 3, r), NewDense(8, 2, r))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	lstm, err := NewNetwork(NewLSTM(2, 2, 3, r), NewDense(3, 2, r))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, net := range []*Network{mlp, cnn, lstm} {
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := Load(bytes.NewReader(data))
 		if err == nil && n == nil {

@@ -9,9 +9,8 @@ import (
 
 // lossOn computes the softmax cross-entropy of the network on (x, y)
 // in TRAINING mode: the analytic gradients differentiate the
-// train-mode forward pass, which differs from inference for layers
-// like BatchNorm (batch statistics vs running statistics). All layers
-// used in these tests are deterministic in train mode.
+// train-mode forward pass. All layers used in these tests are
+// deterministic in train mode.
 func lossOn(n *Network, x *Matrix, y []int) float64 {
 	return CrossEntropy(Softmax(n.Forward(x, true)), y)
 }
@@ -201,131 +200,4 @@ func TestGradInputGradient(t *testing.T) {
 			t.Fatalf("dx[%d]: analytic %.8f vs numeric %.8f", i, dx.Data[i], numeric)
 		}
 	}
-}
-
-func TestGradBatchNorm(t *testing.T) {
-	// BatchNorm mid-network: the batch-statistics path (train mode) is
-	// what the analytic backward differentiates, including the mean/var
-	// coupling across the batch. Tanh on both sides keeps the loss
-	// smooth so the finite difference is trustworthy everywhere.
-	r := prng.New(8)
-	net, err := NewNetwork(
-		NewDense(5, 6, r), NewActivation(Tanh, 6),
-		NewBatchNorm(6),
-		NewDense(6, 3, r),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := smallBatch(r, 8, 5, 3)
-	checkGradients(t, net, x, y, 1e-4)
-}
-
-func TestGradBatchNormGammaBeta(t *testing.T) {
-	// γ and β away from their (1, 0) initialization still produce
-	// correct gradients — the affine path, not just the normalization.
-	r := prng.New(9)
-	bn := NewBatchNorm(4)
-	for j := 0; j < 4; j++ {
-		bn.Params()[0].W[j] = 0.5 + 0.3*float64(j)
-		bn.Params()[1].W[j] = -0.2 * float64(j)
-	}
-	net, err := NewNetwork(NewDense(4, 4, r), bn, NewDense(4, 2, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := smallBatch(r, 6, 4, 2)
-	checkGradients(t, net, x, y, 1e-4)
-}
-
-func TestBatchNormInferMatchesRunningStats(t *testing.T) {
-	// Inference mode must use the running statistics: after one train
-	// forward, the inference output is the affine transform under
-	// (runMean, runVar), not the batch statistics.
-	r := prng.New(10)
-	bn := NewBatchNorm(3)
-	x := randMatrix(r, 5, 3)
-	bn.Forward(x, true)
-	mean, variance := bn.RunningStats()
-	got := bn.Forward(x, false)
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < 3; j++ {
-			xh := (x.Row(i)[j] - mean[j]) / math.Sqrt(variance[j]+bn.Eps)
-			want := bn.Params()[0].W[j]*xh + bn.Params()[1].W[j]
-			if math.Abs(got.Row(i)[j]-want) > 1e-12 {
-				t.Fatalf("infer output [%d,%d] = %v, want %v from running stats", i, j, got.Row(i)[j], want)
-			}
-		}
-	}
-	// Inference must not mutate the running statistics.
-	m2, v2 := bn.RunningStats()
-	for j := range mean {
-		if m2[j] != mean[j] || v2[j] != variance[j] {
-			t.Fatal("inference forward mutated running statistics")
-		}
-	}
-}
-
-func TestGradDropoutPassThroughAtZero(t *testing.T) {
-	// Dropout with p = 0 is the identity in both modes: gradients flow
-	// through unchanged, so the full check must pass with the layer
-	// in the stack.
-	r := prng.New(11)
-	net, err := NewNetwork(
-		NewDense(4, 6, r), NewActivation(Tanh, 6),
-		NewDropout(0, 6, 77),
-		NewDense(6, 2, r),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := smallBatch(r, 5, 4, 2)
-	checkGradients(t, net, x, y, 1e-4)
-
-	// And the forward pass is exactly the identity on the layer.
-	d := NewDropout(0, 6, 77)
-	in := randMatrix(r, 3, 6)
-	for _, train := range []bool{true, false} {
-		out := d.Forward(in, train)
-		for i := range in.Data {
-			if out.Data[i] != in.Data[i] {
-				t.Fatalf("Dropout(p=0, train=%v) changed element %d", train, i)
-			}
-		}
-	}
-}
-
-func TestGradResidual(t *testing.T) {
-	// Residual block y = x + F(x): the backward pass must add the
-	// skip-path gradient to the body gradient.
-	r := prng.New(12)
-	body1 := NewDense(5, 5, r)
-	body2 := NewActivation(Tanh, 5)
-	res, err := NewResidual(body1, body2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := NewNetwork(NewDense(4, 5, r), res, NewDense(5, 3, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := smallBatch(r, 6, 4, 3)
-	checkGradients(t, net, x, y, 1e-4)
-}
-
-func TestGradResidualWithBatchNorm(t *testing.T) {
-	// The Gohr-style composition — BatchNorm inside a residual body —
-	// exercises the interaction of the skip connection with the batch
-	// coupling.
-	r := prng.New(13)
-	res, err := NewResidual(NewDense(4, 4, r), NewBatchNorm(4), NewActivation(Tanh, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := NewNetwork(NewDense(3, 4, r), res, NewDense(4, 2, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := smallBatch(r, 7, 3, 2)
-	checkGradients(t, net, x, y, 1e-4)
 }

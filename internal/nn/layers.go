@@ -183,13 +183,13 @@ func (d *Dense) backwardParams(grad *Matrix) {
 
 // cloneForTrain returns a training replica sharing this layer's weights
 // but owning its caches and (engine-bound) gradient buffers.
-func (d *Dense) cloneForTrain(seq bool) Layer {
+func (d *Dense) cloneForTrain() Layer {
 	return &Dense{
 		In: d.In, Out: d.Out,
 		w:           &Param{Name: d.w.Name, W: d.w.W},
 		b:           &Param{Name: d.b.Name, W: d.b.W},
 		scratchEval: true,
-		seq:         seq,
+		seq:         true,
 	}
 }
 
@@ -443,7 +443,7 @@ func (a *Activation) Backward(grad *Matrix) *Matrix {
 
 // cloneForTrain returns a training replica (activations carry no
 // weights, only scratch).
-func (a *Activation) cloneForTrain(bool) Layer {
+func (a *Activation) cloneForTrain() Layer {
 	return &Activation{Kind: a.Kind, Dim: a.Dim, scratchEval: true}
 }
 

@@ -96,15 +96,6 @@ func ensureMatrix(m *Matrix, r, c int) *Matrix {
 	return NewMatrix(r, c)
 }
 
-// ensureVec reslices v to length n, reusing capacity. Contents are
-// unspecified; callers overwrite or zero.
-func ensureVec(v []float64, n int) []float64 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]float64, n)
-}
-
 func zeroFloats(v []float64) {
 	for i := range v {
 		v[i] = 0

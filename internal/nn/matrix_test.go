@@ -129,20 +129,6 @@ func TestFromRowsAndAccessors(t *testing.T) {
 	}
 }
 
-func TestLayerNamesAndSetLR(t *testing.T) {
-	if got := NewBatchNorm(3).Name(); got != "BatchNorm(3)" {
-		t.Fatalf("BatchNorm name %q", got)
-	}
-	if got := NewDropout(0.25, 3, 1).Name(); got != "Dropout(p=0.25)" {
-		t.Fatalf("Dropout name %q", got)
-	}
-	s := &SGD{LR: 0.1}
-	s.SetLR(0.05)
-	if s.LR != 0.05 {
-		t.Fatalf("SGD SetLR left LR at %v", s.LR)
-	}
-}
-
 func TestSetRowBits(t *testing.T) {
 	// 70 columns spans two packed words; bit i of the row lives at bit
 	// i%64 of word i/64.

@@ -123,16 +123,12 @@ type FitConfig struct {
 	// OnEpoch, if non-nil, is called after each epoch with the epoch
 	// index (0-based), mean training loss and training accuracy.
 	OnEpoch func(epoch int, loss, acc float64)
-	// LRSchedule, if non-nil, sets the optimizer learning rate at the
-	// start of each epoch (the optimizer must implement LRScheduler;
-	// both SGD and Adam do). See CyclicLR.
-	LRSchedule func(epoch int) float64
 	// Workers is the number of goroutines sharing each mini-batch's
 	// forward/backward work. 0 means GOMAXPROCS; values above the
 	// engine's canonical shard count (8) are clamped. Training results
 	// are byte-identical at every worker count — see parallel.go.
-	// Networks containing batch-coupled layers (BatchNorm, LSTM) ignore
-	// this and train on the serial whole-batch path.
+	// Networks containing an LSTM ignore this and train on the serial
+	// whole-batch path.
 	Workers int
 }
 
@@ -207,12 +203,6 @@ func (n *Network) train(in fitInput, y []int, cfg FitConfig) (*History, error) {
 		opt = NewAdam(0)
 	}
 
-	if cfg.LRSchedule != nil {
-		if _, ok := opt.(LRScheduler); !ok {
-			return nil, fmt.Errorf("nn: optimizer %s does not support learning-rate schedules", opt.Name())
-		}
-	}
-
 	r := prng.New(cfg.Seed ^ 0xfeedface)
 	order := make([]int, rows)
 	for i := range order {
@@ -249,11 +239,7 @@ func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs
 		st.stopPool()
 		st.opt = nil
 	}()
-	var step uint64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.LRSchedule != nil {
-			opt.(LRScheduler).SetLR(cfg.LRSchedule(epoch))
-		}
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		totalLoss, totalHit, seen := 0.0, 0, 0
 		for start := 0; start < len(order); start += bs {
@@ -262,8 +248,7 @@ func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs
 				end = len(order)
 			}
 			m := end - start
-			lossSum, hits := st.runStep(in, y, order, start, m, step)
-			step++
+			lossSum, hits := st.runStep(in, y, order, start, m)
 			if st.opt == nil {
 				opt.Step(st.netParams)
 			}
@@ -283,10 +268,10 @@ func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs
 }
 
 // fitWholeBatch is the legacy serial training loop, kept for networks
-// whose train-mode forward pass couples rows across the whole batch
-// (BatchNorm, LSTM) and therefore cannot be sharded. Its numerics are
-// bit-for-bit those of the historical Fit implementation; the scratch
-// buffers below only remove per-step allocations.
+// containing an LSTM, whose BPTT caches the sharded engine does not
+// replicate. Its numerics are bit-for-bit those of the historical Fit
+// implementation; the scratch buffers below only remove per-step
+// allocations.
 func (n *Network) fitWholeBatch(x *Matrix, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
 	params := n.Params()
 	hist := &History{}
@@ -307,9 +292,6 @@ func (n *Network) fitWholeBatch(x *Matrix, y []int, order []int, bs int, opt Opt
 	probs := NewMatrix(bs, classes)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.LRSchedule != nil {
-			opt.(LRScheduler).SetLR(cfg.LRSchedule(epoch))
-		}
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		totalLoss, totalHit, seen := 0.0, 0, 0
 		for start := 0; start < x.Rows; start += bs {

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -428,22 +430,101 @@ func TestSaveLoadConvRoundTrip(t *testing.T) {
 	}
 }
 
+// legacySpec and legacyFile extend the model format with the fields of
+// the dropout, batchnorm and residual layer kinds, which the loader no
+// longer accepts. gob matches fields by name, so they encode files in
+// the shape those kinds were written in.
+type legacySpec struct {
+	Kind            string
+	In, Out, Dim    int
+	DropP           float64
+	RunMean, RunVar []float64
+	Sub             []legacySpec
+	Weights         [][]float64
+}
+
+type legacyFile struct {
+	Magic   string
+	Version int
+	Layers  []legacySpec
+}
+
+// TestLoadRejectsGarbage: Load fails with an error, never a panic or a
+// network, on bytes that are not a model and on each malformed model
+// file below. Every row gob-encodes a hand-built file that one
+// rejection branch must catch, and names that branch's message.
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// Valid gob but wrong magic.
-	var buf bytes.Buffer
-	r := prng.New(1)
-	net, _ := MLP(2, []int{2}, 2, ReLU, r)
-	net.Save(&buf)
-	data := buf.Bytes()
-	// Corrupt a mid-file byte; either decode error or shape error must
-	// surface, never a panic.
-	if len(data) > 40 {
-		data[40] ^= 0xff
+	encode := func(file any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	_, _ = Load(bytes.NewReader(data))
+	dense := func(in, out int) layerSpec {
+		return layerSpec{Kind: "dense", In: in, Out: out,
+			Weights: [][]float64{make([]float64, in*out), make([]float64, out)}}
+	}
+	model := func(layers ...layerSpec) modelFile {
+		return modelFile{Magic: modelMagic, Version: modelVersion, Layers: layers}
+	}
+	legacy := func(layers ...legacySpec) legacyFile {
+		return legacyFile{Magic: modelMagic, Version: modelVersion, Layers: layers}
+	}
+	legacyDense := legacySpec{Kind: "dense", In: 2, Out: 2,
+		Weights: [][]float64{make([]float64, 4), make([]float64, 2)}}
+	relu := layerSpec{Kind: "act", Act: int(ReLU), Dim: 2}
+
+	// The rows' building blocks load when well formed.
+	if _, err := Load(bytes.NewReader(encode(model(dense(2, 2), relu)))); err != nil {
+		t.Fatalf("well-formed model rejected: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		file any
+		want string // fragment of the expected error
+	}{
+		{"magic", modelFile{Magic: "h5", Version: modelVersion, Layers: []layerSpec{dense(2, 2)}}, "not a model file"},
+		{"version", modelFile{Magic: modelMagic, Version: 2, Layers: []layerSpec{dense(2, 2)}}, "unsupported model version"},
+		{"no layers", model(), "at least one layer"},
+		{"dense shape", model(layerSpec{Kind: "dense", In: 0, Out: 2}), "bad dense shape"},
+		{"act kind", model(layerSpec{Kind: "act", Act: 99, Dim: 2}), "unknown activation kind"},
+		{"act width", model(layerSpec{Kind: "act", Act: int(ReLU), Dim: 0}), "bad activation width"},
+		{"conv1d even kernel", model(layerSpec{Kind: "conv1d", SeqLen: 4, InCh: 1, Filters: 2, Kernel: 2}), "bad conv1d config"},
+		{"lstm shape", model(layerSpec{Kind: "lstm", LSeq: 0, LIn: 2, LHidden: 2}), "bad lstm config"},
+		{"unknown kind", model(layerSpec{Kind: "maxpool"}), `unknown kind "maxpool"`},
+		{"dropout", legacy(legacyDense, legacySpec{Kind: "dropout", DropP: 0.5, Dim: 2}), `unknown kind "dropout"`},
+		{"batchnorm", legacy(legacyDense, legacySpec{Kind: "batchnorm", Dim: 2,
+			RunMean: []float64{0, 0}, RunVar: []float64{1, 1},
+			Weights: [][]float64{{1, 1}, {0, 0}}}), `unknown kind "batchnorm"`},
+		{"residual", legacy(legacySpec{Kind: "residual", Sub: []legacySpec{legacyDense}}), `unknown kind "residual"`},
+		{"weight buffer count", model(layerSpec{Kind: "dense", In: 2, Out: 2, Weights: [][]float64{make([]float64, 4)}}), "weight buffers"},
+		{"weight length", model(layerSpec{Kind: "dense", In: 2, Out: 2,
+			Weights: [][]float64{make([]float64, 3), make([]float64, 2)}}), "weights, want"},
+		{"weights divide the shape", model(layerSpec{Kind: "dense", In: 2, Out: 2,
+			Weights: [][]float64{make([]float64, 2), make([]float64, 2)}}), "weights, want"},
+		// A few bytes declaring a layer far larger than its weights must
+		// fail before the layer is allocated.
+		{"huge dense", model(layerSpec{Kind: "dense", In: 1 << 30, Out: 1 << 30,
+			Weights: [][]float64{make([]float64, 4), make([]float64, 2)}}), "weights, want"},
+		{"huge lstm", model(layerSpec{Kind: "lstm", LSeq: 1, LIn: 1 << 30, LHidden: 1 << 30,
+			Weights: [][]float64{make([]float64, 4), make([]float64, 4), make([]float64, 4)}}), "weights, want"},
+		{"widths do not chain", model(dense(2, 3), dense(2, 2)), "expects"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, err := Load(bytes.NewReader(encode(c.file)))
+			if err == nil {
+				t.Fatalf("accepted: %s", net.Summary())
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not contain %q", err, c.want)
+			}
+		})
+	}
 }
 
 func TestFileSaveLoad(t *testing.T) {

@@ -199,7 +199,7 @@ func TestPredictBitsMatchesPredict(t *testing.T) {
 }
 
 // TestFitBitsFallbacks: networks the packed engine does not serve —
-// a Conv1D first layer (sharded) and BatchNorm (whole-batch engine) —
+// a Conv1D first layer (sharded) and an LSTM (whole-batch engine) —
 // train on the expanded rows with results equal to Fit's.
 func TestFitBitsFallbacks(t *testing.T) {
 	builds := map[string]func() *Network{
@@ -208,9 +208,9 @@ func TestFitBitsFallbacks(t *testing.T) {
 			net, _ := NewNetwork(NewConv1D(16, 1, 2, 3, r), NewActivation(ReLU, 32), NewDense(32, 2, r))
 			return net
 		},
-		"batchnorm": func() *Network {
+		"lstm": func() *Network {
 			r := prng.New(4)
-			net, _ := NewNetwork(NewDense(16, 8, r), NewBatchNorm(8), NewActivation(ReLU, 8), NewDense(8, 2, r))
+			net, _ := NewNetwork(NewDense(16, 8, r), NewLSTM(2, 4, 4, r), NewDense(4, 2, r))
 			return net
 		},
 	}
@@ -241,7 +241,7 @@ func TestFitSkipsFirstLayerInputGradient(t *testing.T) {
 	cfg := FitConfig{Epochs: 1, BatchSize: 8, Workers: 2}
 	r := prng.New(7)
 	sharded, _ := MLP(16, []int{8}, 2, ReLU, r)
-	whole, _ := NewNetwork(NewDense(16, 8, r), NewBatchNorm(8), NewDense(8, 2, r))
+	whole, _ := NewNetwork(NewDense(16, 8, r), NewLSTM(2, 4, 4, r), NewDense(4, 2, r))
 	for _, net := range []*Network{sharded, whole} {
 		if _, err := net.Fit(x, y, cfg); err != nil {
 			t.Fatal(err)

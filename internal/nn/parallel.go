@@ -20,8 +20,6 @@ import (
 //     the network weights but own their caches, scratch buffers and a
 //     per-shard gradient accumulator, using single-goroutine kernels
 //     whose chains are fixed by the shard contents;
-//   - dropout masks are drawn from positional substreams keyed by
-//     (step, batch row), so sharding does not change mask draws;
 //   - shard gradients are merged by a fixed-order pairwise tree
 //     reduction over shard indices, and shard loss/hit tallies are
 //     merged in shard order;
@@ -54,11 +52,10 @@ type paramChunk struct{ pi, lo, hi int }
 
 // trainCloner is implemented by layers that can replicate themselves
 // for sharded training: the replica shares weight slices with the
-// original but owns caches and (engine-bound) gradient buffers.
-// cloneForTrain returns nil when a particular instance cannot be
-// replicated (e.g. a Residual whose body contains BatchNorm).
+// original but owns caches and (engine-bound) gradient buffers, and
+// runs its kernels on the calling goroutine.
 type trainCloner interface {
-	cloneForTrain(seq bool) Layer
+	cloneForTrain() Layer
 }
 
 // evalCloner is implemented by layers that can replicate themselves for
@@ -67,26 +64,18 @@ type evalCloner interface {
 	cloneForEval() Layer
 }
 
-// positional is implemented by layers whose training-time randomness is
-// positional (Dropout): the engine pins the (step, row-offset)
-// coordinates before each shard's forward pass.
-type positional interface {
-	setPos(step uint64, rowOff int)
-}
-
 // fitState is the reusable engine for one (batch size, width, workers)
 // shape. It is cached on the Network, so repeated Fit calls — and every
 // step after the first — run with zero steady-state allocations.
 type fitState struct {
 	bs, cols, classes, workers int
 
-	clones [][]Layer      // [worker][layer] training replicas
-	params [][]*Param     // [worker][param], aligned with netParams
-	pos    [][]positional // [worker] positional layers
-	in     []*Matrix      // [worker] shard input scratch (float input)
-	inb    []*BitMatrix   // [worker] shard input scratch (packed input)
-	yb     [][]int        // [worker] shard label scratch
-	probs  []*Matrix      // [worker] shard probability scratch
+	clones [][]Layer    // [worker][layer] training replicas
+	params [][]*Param   // [worker][param], aligned with netParams
+	in     []*Matrix    // [worker] shard input scratch (float input)
+	inb    []*BitMatrix // [worker] shard input scratch (packed input)
+	yb     [][]int      // [worker] shard label scratch
+	probs  []*Matrix    // [worker] shard probability scratch
 
 	netParams []*Param
 	grads     [][][]float64 // [shard][param]; grads[0][p] aliases netParams[p].Grad
@@ -100,7 +89,6 @@ type fitState struct {
 	order []int
 	start int
 	m     int
-	step  uint64
 	opt   rangeOptimizer // nil: the caller steps the optimizer after the merge
 
 	cursor     atomic.Int64 // next shard to claim
@@ -114,11 +102,9 @@ type fitState struct {
 }
 
 // shardedFitState returns the cached or freshly built engine for this
-// network, or nil when the network cannot be sharded (it contains a
-// batch-coupled or non-replicable layer: BatchNorm couples train-mode
-// statistics across the whole batch, and LSTM's BPTT caches are not
-// replicated). Those networks train on the legacy whole-batch path,
-// which ignores the worker count but remains deterministic.
+// network, or nil when the network contains an LSTM, whose BPTT caches
+// are not replicated. Such a network trains on the legacy whole-batch
+// path, which ignores the worker count but remains deterministic.
 func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 	if workers < 1 {
 		workers = 1
@@ -140,26 +126,17 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 			if !ok {
 				return nil
 			}
-			cl := tc.cloneForTrain(true)
-			if cl == nil {
-				return nil
-			}
-			layers[i] = cl
+			layers[i] = tc.cloneForTrain()
 		}
 		var ps []*Param
-		var pls []positional
 		for _, l := range layers {
 			ps = append(ps, l.Params()...)
-			if p, ok := l.(positional); ok {
-				pls = append(pls, p)
-			}
 		}
 		if len(ps) != len(st.netParams) {
 			panic("nn: training replica parameter count mismatch")
 		}
 		st.clones = append(st.clones, layers)
 		st.params = append(st.params, ps)
-		st.pos = append(st.pos, pls)
 		st.in = append(st.in, nil)
 		st.inb = append(st.inb, nil)
 		st.yb = append(st.yb, make([]int, maxRows))
@@ -222,13 +199,13 @@ func (st *fitState) stopPool() {
 	}
 }
 
-// runStep trains on rows order[start : start+m] of (in, y) as training
-// step `step`, leaving the merged gradients in the network parameters'
-// Grad buffers and, when st.opt is set, the updated weights in their W
-// buffers. It returns the summed cross-entropy (Σ −log p, not yet
-// divided by m) and the correct-prediction count.
-func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int, step uint64) (lossSum float64, hits int) {
-	st.input, st.y, st.order, st.start, st.m, st.step = in, y, order, start, m, step
+// runStep trains on rows order[start : start+m] of (in, y), leaving
+// the merged gradients in the network parameters' Grad buffers and,
+// when st.opt is set, the updated weights in their W buffers. It
+// returns the summed cross-entropy (Σ −log p, not yet divided by m)
+// and the correct-prediction count.
+func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int) (lossSum float64, hits int) {
+	st.input, st.y, st.order, st.start, st.m = in, y, order, start, m
 	st.cursor.Store(0)
 	st.shardsDone.Store(0)
 	st.chunkNext.Store(0)
@@ -347,9 +324,6 @@ func (st *fitState) runShard(w, v int) {
 	for k, i := range src {
 		yb[k] = st.y[i]
 	}
-	for _, p := range st.pos[w] {
-		p.setPos(st.step, lo)
-	}
 	// The shard's rows are gathered in the input's own form, and only
 	// layer 0 sees which: packed rows reach a Dense layer 0 (train
 	// checked that before choosing the packed input).
@@ -440,11 +414,7 @@ func (n *Network) NewPredictor() *Predictor {
 		if !ok {
 			return &Predictor{net: n}
 		}
-		cl := ec.cloneForEval()
-		if cl == nil {
-			return &Predictor{net: n}
-		}
-		layers[i] = cl
+		layers[i] = ec.cloneForEval()
 	}
 	return &Predictor{net: n, layers: layers}
 }
@@ -469,8 +439,7 @@ func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
 // activation whose input is not the caller's matrix writes over it:
 // that input is an earlier replica's scratch, which nothing reads
 // again before the next call rewrites it, so the activation needs no
-// batch-sized buffer of its own. Only top-level layers do this; a
-// Residual body keeps its input, the skip connection, intact.
+// batch-sized buffer of its own.
 func forwardFrom(layers []Layer, x, caller *Matrix) *Matrix {
 	for _, l := range layers {
 		if a, ok := l.(*Activation); ok && x != caller {

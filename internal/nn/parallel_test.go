@@ -60,19 +60,6 @@ var fitFactories = []struct {
 	name  string
 	build func() *nn.Network
 }{
-	{"mlp-dropout", func() *nn.Network {
-		r := prng.New(41)
-		net, err := nn.NewNetwork(
-			nn.NewDense(12, 16, r),
-			nn.NewActivation(nn.ReLU, 16),
-			nn.NewDropout(0.3, 16, 7),
-			nn.NewDense(16, 2, r),
-		)
-		if err != nil {
-			panic(err)
-		}
-		return net
-	}},
 	{"mlp-leaky", func() *nn.Network {
 		r := prng.New(42)
 		net, err := nn.MLP(12, []int{16, 8}, 2, nn.LeakyReLU, r)
@@ -89,21 +76,6 @@ var fitFactories = []struct {
 			nn.NewActivation(nn.ReLU, c.OutDim()),
 			nn.NewDense(c.OutDim(), 2, r),
 		)
-		if err != nil {
-			panic(err)
-		}
-		return net
-	}},
-	{"residual-dense", func() *nn.Network {
-		r := prng.New(44)
-		body, err := nn.NewResidual(
-			nn.NewDense(12, 12, r),
-			nn.NewActivation(nn.ReLU, 12),
-		)
-		if err != nil {
-			panic(err)
-		}
-		net, err := nn.NewNetwork(body, nn.NewDense(12, 2, r))
 		if err != nil {
 			panic(err)
 		}
@@ -131,8 +103,7 @@ func trainWith(t *testing.T, build func() *nn.Network, workers int) (*nn.Network
 
 // TestFitParallelByteIdentical is the engine's core regression: trained
 // weights and per-epoch history must match serial training bit for bit
-// at every worker count, for every shardable layer family (including
-// dropout, whose masks are positional).
+// at every worker count, for every shardable layer family.
 func TestFitParallelByteIdentical(t *testing.T) {
 	for _, nf := range fitFactories {
 		t.Run(nf.name, func(t *testing.T) {
@@ -178,16 +149,15 @@ func TestFitWorkersZeroMeansGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestFitBatchNormFallsBackToLegacy: batch-coupled networks must ignore
-// Workers and train identically on the whole-batch path.
-func TestFitBatchNormFallsBackToLegacy(t *testing.T) {
+// TestFitLSTMFallsBackToWholeBatch: networks containing an LSTM must
+// ignore Workers and train identically on the whole-batch path.
+func TestFitLSTMFallsBackToWholeBatch(t *testing.T) {
 	build := func() *nn.Network {
 		r := prng.New(45)
 		net, err := nn.NewNetwork(
 			nn.NewDense(12, 8, r),
-			nn.NewBatchNorm(8),
-			nn.NewActivation(nn.ReLU, 8),
-			nn.NewDense(8, 2, r),
+			nn.NewLSTM(2, 4, 4, r),
+			nn.NewDense(4, 2, r),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +166,7 @@ func TestFitBatchNormFallsBackToLegacy(t *testing.T) {
 	}
 	refNet, _ := trainWith(t, build, 1)
 	if refNet.HasShardedFitState() {
-		t.Fatal("BatchNorm network unexpectedly trained on the sharded engine")
+		t.Fatal("LSTM network unexpectedly trained on the sharded engine")
 	}
 	parNet, _ := trainWith(t, build, 4)
 	ref, got := paramBits(refNet), paramBits(parNet)
@@ -273,29 +243,12 @@ func TestPredictorMatchesPredict(t *testing.T) {
 	r := prng.New(77)
 	nets := map[string]*nn.Network{}
 
-	mlp, err := nn.NewNetwork(
-		nn.NewDense(12, 16, r),
-		nn.NewActivation(nn.ReLU, 16),
-		nn.NewDropout(0.2, 16, 3),
-		nn.NewDense(16, 2, r),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nets["mlp-dropout"] = mlp
-
 	c := nn.NewConv1D(12, 1, 4, 3, r)
 	cnn, err := nn.NewNetwork(c, nn.NewActivation(nn.ReLU, c.OutDim()), nn.NewDense(c.OutDim(), 2, r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	nets["cnn"] = cnn
-
-	gohr, err := nn.GohrNet(12, 4, 4, 1, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nets["gohrnet-batchnorm"] = gohr
 
 	l := nn.NewLSTM(4, 3, 6, r)
 	lstm, err := nn.NewNetwork(l, nn.NewDense(6, 2, r))
@@ -307,8 +260,7 @@ func TestPredictorMatchesPredict(t *testing.T) {
 	x, y := synthData(prng.New(31), 40, 12)
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
-			// Train briefly so weights and (for GohrNet) running batch
-			// statistics are nontrivial.
+			// Train briefly so the weights are nontrivial.
 			if _, err := net.Fit(x, y, nn.FitConfig{Epochs: 1, BatchSize: 10, Seed: 5, Workers: 2}); err != nil {
 				t.Fatal(err)
 			}
@@ -338,9 +290,8 @@ func TestPredictorMatchesPredict(t *testing.T) {
 // activation over the previous layer's scratch, and must still match
 // Network.Predict from float and packed rows without touching the
 // caller's matrix — also when layer 0 is an activation (its input is
-// the caller's) and when a Residual body starts with one (its input is
-// the skip connection). The float rows are signed so every activation
-// changes them.
+// the caller's). The float rows are signed so every activation changes
+// them.
 func TestPredictorInPlaceActivations(t *testing.T) {
 	r := prng.New(78)
 	mlp, err := nn.MLP(12, []int{16, 8}, 2, nn.ReLU, r)
@@ -356,21 +307,13 @@ func TestPredictorInPlaceActivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := nn.NewResidual(nn.NewActivation(nn.ReLU, 12), nn.NewDense(12, 12, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	residual, err := nn.NewNetwork(nn.NewDense(12, 12, r), body, nn.NewActivation(nn.Tanh, 12), nn.NewDense(12, 3, r))
-	if err != nil {
-		t.Fatal(err)
-	}
 	signed := nn.NewMatrix(40, 12)
 	for i := range signed.Data {
 		signed.Data[i] = r.NormFloat64()
 	}
 	bitRows, _ := synthData(prng.New(32), 40, 12)
 	packed := packRows(bitRows)
-	for name, net := range map[string]*nn.Network{"mlp": mlp, "activation-first": actFirst, "residual-activation-first": residual} {
+	for name, net := range map[string]*nn.Network{"mlp": mlp, "activation-first": actFirst} {
 		t.Run(name, func(t *testing.T) {
 			p := net.NewPredictor()
 			var buf []int
@@ -412,28 +355,32 @@ func rowsOf(m *nn.Matrix, lo, hi int) [][]float64 {
 
 // TestFitShardedSteadyStateAllocs: after the first Fit call has built
 // the engine and scratch, further Fit calls allocate only the
-// per-call bookkeeping (order slice, history, PRNG) — nothing per step.
+// per-call bookkeeping (order slice, history, PRNG) — nothing per step,
+// for every shardable layer family.
 func TestFitShardedSteadyStateAllocs(t *testing.T) {
-	build := fitFactories[1].build // plain MLP, no dropout mask noise
-	net := build()
-	r := prng.New(8)
-	x, y := synthData(r, 256, 12)
-	// A persistent optimizer is part of the steady state: its moment
-	// slices are keyed by parameter identity and reused across calls.
-	cfg := nn.FitConfig{Epochs: 1, BatchSize: 32, Seed: 3, Workers: 1, Optimizer: nn.NewAdam(0)}
-	if _, err := net.Fit(x, y, cfg); err != nil {
-		t.Fatal(err)
-	}
-	steps := 8.0 // 256 rows / batch 32
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := net.Fit(x, y, cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Per-call bookkeeping (shuffle order, History, PRNG) is allowed;
-	// nothing may allocate per training step.
-	if perStep := allocs / steps; perStep > 1 {
-		t.Fatalf("steady-state Fit allocated %.1f objects over %v steps (%.2f/step); want ≤ 1/step", allocs, steps, perStep)
+	x, y := synthData(prng.New(8), 256, 12)
+	for _, nf := range fitFactories {
+		t.Run(nf.name, func(t *testing.T) {
+			net := nf.build()
+			// A persistent optimizer is part of the steady state: its
+			// moment slices are keyed by parameter identity and reused
+			// across calls.
+			cfg := nn.FitConfig{Epochs: 1, BatchSize: 32, Seed: 3, Workers: 1, Optimizer: nn.NewAdam(0)}
+			if _, err := net.Fit(x, y, cfg); err != nil {
+				t.Fatal(err)
+			}
+			steps := 8.0 // 256 rows / batch 32
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := net.Fit(x, y, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// Per-call bookkeeping (shuffle order, History, PRNG) is
+			// allowed; nothing may allocate per training step.
+			if perStep := allocs / steps; perStep > 1 {
+				t.Fatalf("steady-state Fit allocated %.1f objects over %v steps (%.2f/step); want ≤ 1/step", allocs, steps, perStep)
+			}
+		})
 	}
 }
 

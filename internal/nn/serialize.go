@@ -33,12 +33,6 @@ type layerSpec struct {
 	// LSTM.
 	LSeq, LIn, LHidden int
 	ReturnSeq          bool
-	// Dropout.
-	DropP float64
-	// BatchNorm running statistics.
-	RunMean, RunVar []float64
-	// Residual sub-stack.
-	Sub []layerSpec
 
 	Weights [][]float64 // one buffer per Param, in Params() order
 }
@@ -79,25 +73,6 @@ func specOf(l Layer) (layerSpec, error) {
 		spec = layerSpec{Kind: "conv1d", SeqLen: v.SeqLen, InCh: v.InCh, Filters: v.Filters, Kernel: v.Kernel}
 	case *LSTM:
 		spec = layerSpec{Kind: "lstm", LSeq: v.SeqLen, LIn: v.In, LHidden: v.Hidden, ReturnSeq: v.ReturnSeq}
-	case *Dropout:
-		// The mask RNG seed is training-only state and is not
-		// preserved; a loaded model drops differently if retrained.
-		spec = layerSpec{Kind: "dropout", DropP: v.P, Dim: v.Dim}
-	case *BatchNorm:
-		mean, variance := v.RunningStats()
-		spec = layerSpec{Kind: "batchnorm", Dim: v.Dim}
-		spec.RunMean = append([]float64(nil), mean...)
-		spec.RunVar = append([]float64(nil), variance...)
-	case *Residual:
-		spec = layerSpec{Kind: "residual"}
-		for _, sub := range v.Body {
-			s, err := specOf(sub)
-			if err != nil {
-				return spec, err
-			}
-			spec.Sub = append(spec.Sub, s)
-		}
-		return spec, nil // params live in the sub-specs
 	default:
 		return spec, fmt.Errorf("nn: cannot serialize layer type %T", l)
 	}
@@ -132,77 +107,75 @@ func Load(r io.Reader) (*Network, error) {
 	return NewNetwork(layers...)
 }
 
-// layerOf reconstructs one layer from its spec.
+// layerOf reconstructs one layer from its spec. The file's weight
+// buffers are checked against the declared shape before the layer is
+// built, so a few bytes declaring a huge layer fail instead of making
+// Load allocate it.
 func layerOf(spec layerSpec, i int) (Layer, error) {
 	// Weight loading overwrites the init, so a fixed dummy seed is fine.
 	dummy := newInitRand()
-	var l Layer
+	var shapes [][]int // each weight buffer's dimensions, in Params() order
+	var build func() Layer
 	switch spec.Kind {
 	case "dense":
 		if spec.In <= 0 || spec.Out <= 0 {
 			return nil, fmt.Errorf("nn: layer %d: bad dense shape %d→%d", i, spec.In, spec.Out)
 		}
-		l = NewDense(spec.In, spec.Out, dummy)
+		shapes = [][]int{{spec.In, spec.Out}, {spec.Out}}
+		build = func() Layer { return NewDense(spec.In, spec.Out, dummy) }
 	case "act":
 		if spec.Act < int(ReLU) || spec.Act > int(Tanh) {
 			return nil, fmt.Errorf("nn: layer %d: unknown activation kind %d", i, spec.Act)
 		}
-		l = NewActivation(ActKind(spec.Act), spec.Dim)
+		if spec.Dim <= 0 {
+			return nil, fmt.Errorf("nn: layer %d: bad activation width %d", i, spec.Dim)
+		}
+		build = func() Layer { return NewActivation(ActKind(spec.Act), spec.Dim) }
 	case "conv1d":
 		if spec.SeqLen <= 0 || spec.InCh <= 0 || spec.Filters <= 0 || spec.Kernel <= 0 || spec.Kernel%2 == 0 {
 			return nil, fmt.Errorf("nn: layer %d: bad conv1d config", i)
 		}
-		l = NewConv1D(spec.SeqLen, spec.InCh, spec.Filters, spec.Kernel, dummy)
+		shapes = [][]int{{spec.Filters, spec.Kernel, spec.InCh}, {spec.Filters}}
+		build = func() Layer { return NewConv1D(spec.SeqLen, spec.InCh, spec.Filters, spec.Kernel, dummy) }
 	case "lstm":
 		if spec.LSeq <= 0 || spec.LIn <= 0 || spec.LHidden <= 0 {
 			return nil, fmt.Errorf("nn: layer %d: bad lstm config", i)
 		}
-		lst := NewLSTM(spec.LSeq, spec.LIn, spec.LHidden, dummy)
-		lst.ReturnSeq = spec.ReturnSeq
-		l = lst
-	case "dropout":
-		if spec.DropP < 0 || spec.DropP >= 1 || spec.Dim <= 0 {
-			return nil, fmt.Errorf("nn: layer %d: bad dropout config", i)
+		shapes = [][]int{{spec.LIn, 4, spec.LHidden}, {spec.LHidden, 4, spec.LHidden}, {4, spec.LHidden}}
+		build = func() Layer {
+			lst := NewLSTM(spec.LSeq, spec.LIn, spec.LHidden, dummy)
+			lst.ReturnSeq = spec.ReturnSeq
+			return lst
 		}
-		l = NewDropout(spec.DropP, spec.Dim, 0)
-	case "batchnorm":
-		if spec.Dim <= 0 || len(spec.RunMean) != spec.Dim || len(spec.RunVar) != spec.Dim {
-			return nil, fmt.Errorf("nn: layer %d: bad batchnorm config", i)
-		}
-		bn := NewBatchNorm(spec.Dim)
-		bn.SetRunningStats(spec.RunMean, spec.RunVar)
-		l = bn
-	case "residual":
-		if len(spec.Sub) == 0 {
-			return nil, fmt.Errorf("nn: layer %d: empty residual body", i)
-		}
-		var body []Layer
-		for j, sub := range spec.Sub {
-			sl, err := layerOf(sub, i*100+j)
-			if err != nil {
-				return nil, err
-			}
-			body = append(body, sl)
-		}
-		block, err := NewResidual(body...)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-		return block, nil // params already loaded via sub-specs
 	default:
 		return nil, fmt.Errorf("nn: layer %d: unknown kind %q", i, spec.Kind)
 	}
-	params := l.Params()
-	if len(params) != len(spec.Weights) {
-		return nil, fmt.Errorf("nn: layer %d: %d weight buffers for %d params", i, len(spec.Weights), len(params))
+	if len(spec.Weights) != len(shapes) {
+		return nil, fmt.Errorf("nn: layer %d: %d weight buffers for %d params", i, len(spec.Weights), len(shapes))
 	}
-	for j, p := range params {
-		if len(spec.Weights[j]) != len(p.W) {
-			return nil, fmt.Errorf("nn: layer %d param %d: %d weights, want %d", i, j, len(spec.Weights[j]), len(p.W))
+	for j, shape := range shapes {
+		if !isProduct(len(spec.Weights[j]), shape) {
+			return nil, fmt.Errorf("nn: layer %d param %d: %d weights, want shape %v", i, j, len(spec.Weights[j]), shape)
 		}
+	}
+	l := build()
+	for j, p := range l.Params() {
 		copy(p.W, spec.Weights[j])
 	}
 	return l, nil
+}
+
+// isProduct reports whether n equals the product of dims (each ≥ 1),
+// deciding it by division so that no product of declared dimensions
+// can overflow.
+func isProduct(n int, dims []int) bool {
+	for _, d := range dims {
+		if n%d != 0 {
+			return false
+		}
+		n /= d
+	}
+	return n == 1
 }
 
 // SaveFile writes the network to path.

@@ -9,6 +9,10 @@
 # internal/ledger). On top of the plain test run this script
 # executes:
 #
+#   - a vet and test pass over the perfbench module: it is a nested
+#     module, so the root `go build ./...` and `go test ./...` never
+#     compile it, and a change to an API it calls would otherwise
+#     break the benchmark harness silently;
 #   - a GOARCH=386 vet and test pass: the one build in which every
 #     *_other.go portable fallback (bitsliced kernels, PRNG draws,
 #     transposes, matrix kernels) runs as the only path, and where
@@ -40,6 +44,7 @@ fi
 go build ./...
 go vet ./...
 go test ./...
+(cd perfbench && go vet ./... && go test ./...)
 GOARCH=386 go vet ./...
 GOARCH=386 go test ./...
 go test -race ./internal/nn/... ./internal/core/...
