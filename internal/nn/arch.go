@@ -139,11 +139,3 @@ func Table3(name string, in int, r *prng.Rand) (*Network, error) {
 func l2q(l1, l2 *LSTM, in int, r *prng.Rand) []Layer {
 	return []Layer{l1, l2, NewDense(100, 128, r), NewActivation(Tanh, 128), NewDense(128, 2, r)}
 }
-
-// ThreeLayerNet is the "three layer neural network" the paper
-// highlights as sufficient (Section 5 / abstract): a single hidden
-// layer between input and output — e.g. MLP II/V up to the choice of
-// width and activation.
-func ThreeLayerNet(in, hidden, classes int, act ActKind, r *prng.Rand) (*Network, error) {
-	return MLP(in, []int{hidden}, classes, act, r)
-}

@@ -23,8 +23,7 @@ type Conv1D struct {
 	out                           *Matrix // forward scratch
 	dx                            *Matrix // backward scratch
 
-	scratchEval bool
-	seq         bool
+	scratchEval bool // a replica: inference reuses out too
 }
 
 // NewConv1D creates a Conv1D layer with Glorot-uniform weights.
@@ -87,7 +86,7 @@ func (c *Conv1D) Forward(x *Matrix, train bool) *Matrix {
 	} else {
 		out = NewMatrix(x.Rows, c.OutDim())
 	}
-	if c.seq {
+	if train {
 		// No closure here: it would escape to the heap on every
 		// training step.
 		c.forwardRows(x, out, 0, x.Rows)
@@ -161,22 +160,11 @@ func (c *Conv1D) Backward(grad *Matrix) *Matrix {
 	return dx
 }
 
-// cloneForTrain returns a training replica sharing the kernel weights
-// but owning caches and (engine-bound) gradient buffers. The backward
-// pass is already sample-sequential, so a replica processing one shard
-// accumulates exactly the chain a serial pass over that shard would.
-func (c *Conv1D) cloneForTrain() Layer {
-	return &Conv1D{
-		SeqLen: c.SeqLen, InCh: c.InCh, Filters: c.Filters, Kernel: c.Kernel,
-		w:           &Param{Name: c.w.Name, W: c.w.W},
-		b:           &Param{Name: c.b.Name, W: c.b.W},
-		scratchEval: true,
-		seq:         true,
-	}
-}
-
-// cloneForEval returns an inference replica with reusable scratch.
-func (c *Conv1D) cloneForEval() Layer {
+// replica shares the kernel weights; the gradients stay nil until the
+// training engine binds them. The backward pass is sample-sequential,
+// so a replica processing one shard accumulates exactly the chain a
+// serial pass over that shard would.
+func (c *Conv1D) replica() Layer {
 	return &Conv1D{
 		SeqLen: c.SeqLen, InCh: c.InCh, Filters: c.Filters, Kernel: c.Kernel,
 		w:           &Param{Name: c.w.Name, W: c.w.W},

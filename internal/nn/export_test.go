@@ -18,7 +18,3 @@ func ReduceGradTree(grads [][][]float64) {
 		foldShards(&s)
 	}
 }
-
-// HasShardedFitState reports whether the last Fit call trained through
-// the sharded engine (false: legacy whole-batch path).
-func (n *Network) HasShardedFitState() bool { return n.fit != nil }

@@ -32,7 +32,7 @@ func checkGradients(t *testing.T, n *Network, x *Matrix, y []int, tol float64) {
 	}
 	// Analytic gradients.
 	for _, p := range n.Params() {
-		p.ZeroGrad()
+		clear(p.Grad)
 	}
 	logits := n.Forward(x, true)
 	probs := Softmax(logits)
@@ -177,7 +177,7 @@ func TestGradInputGradient(t *testing.T) {
 	x, y := smallBatch(r, 3, 4, 2)
 
 	for _, p := range net.Params() {
-		p.ZeroGrad()
+		clear(p.Grad)
 	}
 	probs := Softmax(net.Forward(x, true))
 	grad := SoftmaxCrossEntropyGrad(probs, y)

@@ -64,9 +64,9 @@ func TestMulTNAVX2BitIdentical(t *testing.T) {
 			}
 		}
 		b := randMatrix(r, n, m)
-		got := MulTN(a, b)
+		got := mulTN(a, b)
 		var want *Matrix
-		forceScalarMul(func() { want = MulTN(a, b) })
+		forceScalarMul(func() { want = mulTN(a, b) })
 		matricesBitIdentical(t, "MulTN", got, want)
 	}
 }
@@ -158,11 +158,10 @@ func TestMulAVX2BitIdentical(t *testing.T) {
 // head's backward pass with the scalar kernels: MulTNAcc with 1–3
 // output columns (dW = hᵀ·g, h ReLU-sparse) and MulNT with an inner
 // dimension of 1–3 (dx = g·Wᵀ). Shapes include one sample or row, 13
-// and 130 hidden units (not multiples of 4), and sizes large enough
-// for MulTNAcc and MulNTInto to split rows across goroutines. The
-// MulTNAcc accumulator starts with −0 in some entries, and one column
-// of h is ±0 in every sample, so that row of the accumulator must stay
-// exactly as it was: −0 where it was −0.
+// and 130 hidden units (not multiples of 4), and thousands of samples.
+// The MulTNAcc accumulator starts with −0 in some entries, and one
+// column of h is ±0 in every sample, so that row of the accumulator
+// must stay exactly as it was: −0 where it was −0.
 func checkNarrowBackward(t *testing.T, r *prng.Rand, specials []float64) {
 	t.Helper()
 	negZero := math.Copysign(0, -1)

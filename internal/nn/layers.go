@@ -16,17 +16,15 @@ type Param struct {
 	Grad []float64
 }
 
-// ZeroGrad clears the gradient buffer.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
-}
-
 // Layer is one differentiable stage of a network. Forward consumes a
 // batch (rows = samples) and caches what Backward needs; Backward
 // consumes dL/doutput, accumulates parameter gradients and returns
 // dL/dinput. Layers are not safe for concurrent use.
+//
+// Forward(x, true) and Backward run their kernels on the calling
+// goroutine: only the training engine's replicas train, and its shards
+// are already the parallelism. Forward(x, false) splits large products
+// across goroutines.
 type Layer interface {
 	Name() string
 	// InDim and OutDim are the per-sample feature widths, used for
@@ -36,6 +34,12 @@ type Layer interface {
 	Forward(x *Matrix, train bool) *Matrix
 	Backward(grad *Matrix) *Matrix
 	Params() []*Param
+	// replica returns a layer that shares this one's weights but owns
+	// its caches, scratch buffers and gradient buffers. The training
+	// engine trains one replica stack per worker, binding the
+	// gradients to a shard's accumulator; a Predictor infers through
+	// one, reusing its scratch.
+	replica() Layer
 }
 
 // Dense is a fully connected layer: y = x·W + b.
@@ -48,12 +52,9 @@ type Dense struct {
 	dx      *Matrix    // backward input-gradient scratch, reused across steps
 	wm      Matrix     // weight-view header, avoids a heap allocation per call
 
-	// Replica flags (see cloneForTrain/cloneForEval): replicas reuse
-	// the output scratch in inference mode too, and training replicas
-	// run the single-goroutine kernels because the engine's shards are
-	// already the parallelism.
+	// scratchEval is set on replicas: they reuse the output scratch in
+	// inference mode too.
 	scratchEval bool
-	seq         bool
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights drawn from
@@ -103,7 +104,7 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 		}
 		d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 		d.out = ensureMatrix(d.out, x.Rows, d.Out)
-		if d.seq {
+		if train {
 			out = mulIntoSeq(d.out, x, &d.wm)
 		} else {
 			out = MulInto(d.out, x, &d.wm)
@@ -119,8 +120,8 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 
 // forwardBits is Forward for packed {0,1} input: b + Σ W[k] over each
 // row's set bits, bit-identical to Forward on the 0.0/1.0 float rows
-// (see bitsMulRange). Training replicas run it on the calling
-// goroutine; inference splits rows across goroutines as MulInto does.
+// (see bitsMulRange). Training runs it on the calling goroutine;
+// inference splits rows across goroutines as MulInto does.
 func (d *Dense) forwardBits(x *BitMatrix, train bool) *Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s got packed input width %d", d.Name(), x.Cols))
@@ -138,7 +139,7 @@ func (d *Dense) forwardBits(x *BitMatrix, train bool) *Matrix {
 	}
 	zeroFloats(out.Data)
 	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
-	if d.seq {
+	if train {
 		bitsMulRange(out, x, &d.wm, 0, x.Rows)
 	} else {
 		wm := &d.wm
@@ -158,14 +159,11 @@ func (d *Dense) Backward(grad *Matrix) *Matrix {
 	d.backwardParams(grad)
 	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 	d.dx = ensureMatrix(d.dx, grad.Rows, d.In)
-	if d.seq {
-		return mulNTIntoSeq(d.dx, grad, &d.wm)
-	}
 	return MulNTInto(d.dx, grad, &d.wm)
 }
 
 // backwardParams is Backward without the input gradient: it
-// accumulates dW and db only. The training engines call it on layer 0,
+// accumulates dW and db only. The training engine calls it on layer 0,
 // whose dL/dinput nothing reads.
 func (d *Dense) backwardParams(grad *Matrix) {
 	switch {
@@ -173,45 +171,21 @@ func (d *Dense) backwardParams(grad *Matrix) {
 		bitsMulTNAcc(d.w.Grad, d.xb, grad)
 	case d.x == nil:
 		panic("nn: Dense.Backward before Forward(train=true)")
-	case d.seq:
-		mulTNAccSeq(d.w.Grad, d.x, grad)
 	default:
 		MulTNAcc(d.w.Grad, d.x, grad)
 	}
 	colSumsAcc(d.b.Grad, grad)
 }
 
-// cloneForTrain returns a training replica sharing this layer's weights
-// but owning its caches and (engine-bound) gradient buffers.
-func (d *Dense) cloneForTrain() Layer {
-	return &Dense{
-		In: d.In, Out: d.Out,
-		w:           &Param{Name: d.w.Name, W: d.w.W},
-		b:           &Param{Name: d.b.Name, W: d.b.W},
-		scratchEval: true,
-		seq:         true,
-	}
-}
-
-// cloneForEval returns an inference replica sharing weights but owning
-// reusable output scratch, for Predictor's allocation-free batches.
-func (d *Dense) cloneForEval() Layer {
+// replica shares the weight and bias values; the gradients stay nil
+// until the training engine binds them.
+func (d *Dense) replica() Layer {
 	return &Dense{
 		In: d.In, Out: d.Out,
 		w:           &Param{Name: d.w.Name, W: d.w.W},
 		b:           &Param{Name: d.b.Name, W: d.b.W},
 		scratchEval: true,
 	}
-}
-
-// SetWeights overwrites the layer weights; used by tests and
-// deserialization. w must be in*out long and b out long.
-func (d *Dense) SetWeights(w, b []float64) {
-	if len(w) != d.In*d.Out || len(b) != d.Out {
-		panic("nn: SetWeights shape mismatch")
-	}
-	copy(d.w.W, w)
-	copy(d.b.W, b)
 }
 
 // Activation is an elementwise nonlinearity layer.
@@ -441,13 +415,7 @@ func (a *Activation) Backward(grad *Matrix) *Matrix {
 	return a.gout
 }
 
-// cloneForTrain returns a training replica (activations carry no
-// weights, only scratch).
-func (a *Activation) cloneForTrain() Layer {
-	return &Activation{Kind: a.Kind, Dim: a.Dim, scratchEval: true}
-}
-
-// cloneForEval returns an inference replica with reusable scratch.
-func (a *Activation) cloneForEval() Layer {
+// replica carries no weights, only scratch.
+func (a *Activation) replica() Layer {
 	return &Activation{Kind: a.Kind, Dim: a.Dim, scratchEval: true}
 }

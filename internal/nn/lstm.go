@@ -19,7 +19,8 @@ import (
 //	f_t = σ(…f…),  g_t = tanh(…g…),  o_t = σ(…o…)
 //	c_t = f_t∘c_{t−1} + i_t∘g_t,   h_t = o_t∘tanh(c_t)
 //
-// Backward implements full backpropagation through time.
+// Backward implements full backpropagation through time. A training
+// step allocates its per-timestep caches afresh.
 type LSTM struct {
 	SeqLen, In, Hidden int
 	// ReturnSeq selects the output shape: false returns the final
@@ -84,6 +85,18 @@ func (l *LSTM) OutDim() int {
 // Params returns the input, recurrent and bias tensors.
 func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 
+// replica shares the weights; the gradients stay nil until the
+// training engine binds them, and the BPTT caches are the replica's
+// own.
+func (l *LSTM) replica() Layer {
+	return &LSTM{
+		SeqLen: l.SeqLen, In: l.In, Hidden: l.Hidden, ReturnSeq: l.ReturnSeq,
+		wx: &Param{Name: l.wx.Name, W: l.wx.W},
+		wh: &Param{Name: l.wh.Name, W: l.wh.W},
+		b:  &Param{Name: l.b.Name, W: l.b.W},
+	}
+}
+
 // ParamCount returns the number of trainable scalars:
 // 4H(D + H + 1), matching the Keras formula used by Table 3.
 func (l *LSTM) ParamCount() int {
@@ -92,7 +105,9 @@ func (l *LSTM) ParamCount() int {
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// Forward runs the sequence and returns the final hidden state.
+// Forward runs the sequence and returns the final hidden state, or
+// every hidden state when ReturnSeq is set. Inference writes no layer
+// field.
 func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 	if x.Cols != l.InDim() {
 		panic(fmt.Sprintf("nn: %s got input width %d", l.Name(), x.Cols))
@@ -123,8 +138,14 @@ func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 		for n := 0; n < batch; n++ {
 			copy(xt.Row(n), x.Row(n)[t*l.In:(t+1)*l.In])
 		}
-		z := Mul(xt, wx)
-		zh := Mul(h, wh)
+		z, zh := NewMatrix(batch, 4*H), NewMatrix(batch, 4*H)
+		if train {
+			mulIntoSeq(z, xt, wx)
+			mulIntoSeq(zh, h, wh)
+		} else {
+			MulInto(z, xt, wx)
+			MulInto(zh, h, wh)
+		}
 		for i := range z.Data {
 			z.Data[i] += zh.Data[i]
 		}
@@ -251,24 +272,13 @@ func (l *LSTM) Backward(grad *Matrix) *Matrix {
 			}
 		}
 
-		// Parameter gradients.
-		dwx := MulTN(l.xs[t], dz)
-		for i, v := range dwx.Data {
-			l.wx.Grad[i] += v
-		}
-		var hPrev *Matrix
+		// Parameter gradients, accumulated in place. h_{−1} is zero,
+		// so step 0 adds nothing to dWh.
+		MulTNAcc(l.wx.Grad, l.xs[t], dz)
 		if t > 0 {
-			hPrev = l.hs[t-1]
-		} else {
-			hPrev = NewMatrix(batch, H)
+			MulTNAcc(l.wh.Grad, l.hs[t-1], dz)
 		}
-		dwh := MulTN(hPrev, dz)
-		for i, v := range dwh.Data {
-			l.wh.Grad[i] += v
-		}
-		for j, v := range dz.ColSums() {
-			l.b.Grad[j] += v
-		}
+		colSumsAcc(l.b.Grad, dz)
 
 		// Input gradient for this timestep.
 		dxt := MulNT(dz, wx)

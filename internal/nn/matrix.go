@@ -166,11 +166,11 @@ func MulInto(out, a, b *Matrix) *Matrix {
 	return out
 }
 
-// mulIntoSeq is MulInto pinned to the calling goroutine. The training
-// engine's workers use it so that sharded forward passes never nest a
-// goroutine fan-out inside a goroutine (the shards themselves are the
-// parallelism). The arithmetic is identical to MulInto: the parallel
-// kernel only ever splits work at row granularity.
+// mulIntoSeq is MulInto pinned to the calling goroutine, the form
+// training forward passes use: the engine's shards are already the
+// parallelism, so they never nest a goroutine fan-out inside a worker.
+// The arithmetic is identical to MulInto: the parallel kernel only
+// ever splits work at row granularity.
 func mulIntoSeq(out, a, b *Matrix) *Matrix {
 	checkMulInto(out, a, b)
 	for i := range out.Data {
@@ -221,43 +221,20 @@ func mulRange(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MulTN returns Aᵀ·B. A is n×k (so Aᵀ is k×n), B is n×m.
-func MulTN(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	MulTNAcc(out.Data, a, b)
-	return out
-}
-
-// MulTNAcc accumulates Aᵀ·B into the flat k×m buffer acc — the shape a
-// Dense weight gradient already has, so backward passes add the
-// transposed-gradient product straight into Param.Grad without a
-// temporary. Parallelism partitions the *output* rows: every element's
-// accumulation chain runs over the n samples in ascending order
-// regardless of GOMAXPROCS or partition, so the result is bitwise
-// identical at any worker count. (The previous implementation merged
-// per-worker partial matrices in a GOMAXPROCS-dependent grouping, which
-// made trained weights machine-dependent.)
+// MulTNAcc accumulates Aᵀ·B (A is n×k, B is n×m) into the flat k×m
+// buffer acc — the shape a weight gradient already has, so backward
+// passes add the transposed-gradient product straight into Param.Grad
+// without a temporary. Only backward passes call it, so it runs on the
+// calling goroutine (see mulIntoSeq). Every element's accumulation
+// chain runs over the n samples in ascending order.
 func MulTNAcc(acc []float64, a, b *Matrix) {
-	checkMulTN(acc, a, b)
-	parallelRows(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		mulTNAccRange(acc, a, b, lo, hi)
-	})
-}
-
-// mulTNAccSeq is MulTNAcc pinned to the calling goroutine; see
-// mulIntoSeq for why the training engine's workers need it.
-func mulTNAccSeq(acc []float64, a, b *Matrix) {
-	checkMulTN(acc, a, b)
-	mulTNAccRange(acc, a, b, 0, a.Cols)
-}
-
-func checkMulTN(acc []float64, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: MulTN shape mismatch %d×%d ᵀ· %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if len(acc) != a.Cols*b.Cols {
 		panic(fmt.Sprintf("nn: MulTN accumulator has %d elements, want %d×%d", len(acc), a.Cols, b.Cols))
 	}
+	mulTNAccRange(acc, a, b, 0, a.Cols)
 }
 
 // mulTNAccRange accumulates output rows [lo, hi) of Aᵀ·B into acc,
@@ -296,30 +273,17 @@ func MulNT(a, b *Matrix) *Matrix {
 // returns it. B is row-major, so its rows are already the packed
 // columns of Bᵀ; the kernel blocks over those rows (mulJBlock at a
 // time) so the panel being dotted stays cache-resident across every
-// row of A, and unrolls the dot product four-wide.
+// row of A, and unrolls the dot product four-wide. Only backward
+// passes call it, so it runs on the calling goroutine (see mulIntoSeq).
 func MulNTInto(out, a, b *Matrix) *Matrix {
-	checkMulNTInto(out, a, b)
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		mulNTRange(out, a, b, lo, hi)
-	})
-	return out
-}
-
-// mulNTIntoSeq is MulNTInto pinned to the calling goroutine; see
-// mulIntoSeq for why the training engine's workers need it.
-func mulNTIntoSeq(out, a, b *Matrix) *Matrix {
-	checkMulNTInto(out, a, b)
-	mulNTRange(out, a, b, 0, a.Rows)
-	return out
-}
-
-func checkMulNTInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MulNTInto shape mismatch %d×%d · %d×%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MulNTInto output is %d×%d, want %d×%d", out.Rows, out.Cols, a.Rows, b.Rows))
 	}
+	mulNTRange(out, a, b, 0, a.Rows)
+	return out
 }
 
 // mulNTRange computes rows [lo, hi) of A·Bᵀ into out. Every element is
@@ -380,22 +344,9 @@ func (m *Matrix) AddRowVector(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m.
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return out
-}
-
 // colSumsAcc accumulates the per-column sums of m into dst (length
-// Cols), the allocation-free form of ColSums used by backward passes to
-// add bias gradients straight into Param.Grad. The accumulation chain
-// over rows is identical to ColSums.
+// Cols), rows in ascending order: backward passes add bias gradients
+// straight into Param.Grad with it.
 func colSumsAcc(dst []float64, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("nn: colSumsAcc length %d != cols %d", len(dst), m.Cols))

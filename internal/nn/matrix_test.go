@@ -29,6 +29,13 @@ func naiveMul(a, b *Matrix) *Matrix {
 	return out
 }
 
+// mulTN returns Aᵀ·B, accumulated by MulTNAcc into a zeroed buffer.
+func mulTN(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Cols, b.Cols)
+	MulTNAcc(out.Data, a, b)
+	return out
+}
+
 func transpose(m *Matrix) *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
@@ -68,15 +75,15 @@ func TestMulTN(t *testing.T) {
 		a := randMatrix(r, n, k)
 		b := randMatrix(r, n, m)
 		want := naiveMul(transpose(a), b)
-		if !Equalish(MulTN(a, b), want, 1e-9) {
+		if !Equalish(mulTN(a, b), want, 1e-9) {
 			t.Fatalf("MulTN mismatch at %d %d %d", n, k, m)
 		}
 	}
-	// Parallel path.
+	// More samples than one mulKBlock panel.
 	a := randMatrix(r, 400, 32)
 	b := randMatrix(r, 400, 40)
-	if !Equalish(MulTN(a, b), naiveMul(transpose(a), b), 1e-9) {
-		t.Fatal("parallel MulTN disagrees with naive")
+	if !Equalish(mulTN(a, b), naiveMul(transpose(a), b), 1e-9) {
+		t.Fatal("MulTN over two panels disagrees with naive")
 	}
 }
 
@@ -96,7 +103,8 @@ func TestMulNT(t *testing.T) {
 func TestMulShapePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { Mul(NewMatrix(2, 3), NewMatrix(4, 2)) },
-		func() { MulTN(NewMatrix(2, 3), NewMatrix(3, 2)) },
+		func() { MulTNAcc(make([]float64, 6), NewMatrix(2, 3), NewMatrix(3, 2)) },
+		func() { MulTNAcc(make([]float64, 5), NewMatrix(2, 3), NewMatrix(2, 2)) },
 		func() { MulNT(NewMatrix(2, 3), NewMatrix(2, 4)) },
 	} {
 		func() {
@@ -177,9 +185,10 @@ func TestAddRowVectorColSumsScale(t *testing.T) {
 	if m.At(0, 0) != 11 || m.At(1, 1) != 24 {
 		t.Fatalf("AddRowVector result %v", m.Data)
 	}
-	s := m.ColSums()
-	if s[0] != 11+13 || s[1] != 22+24 {
-		t.Fatalf("ColSums = %v", s)
+	s := []float64{1, 2}
+	colSumsAcc(s, m)
+	if s[0] != 1+11+13 || s[1] != 2+22+24 {
+		t.Fatalf("colSumsAcc = %v", s)
 	}
 	m.Scale(0.5)
 	if m.At(0, 0) != 5.5 {

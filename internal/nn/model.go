@@ -101,19 +101,6 @@ func (n *Network) PredictOne(x []float64) int {
 	return n.Predict(m)[0]
 }
 
-// Evaluate returns mean accuracy and mean cross-entropy loss on a
-// labelled set.
-func (n *Network) Evaluate(x *Matrix, y []int) (acc, loss float64) {
-	probs := n.Probs(x)
-	hit := 0
-	for i := range y {
-		if Argmax(probs.Row(i)) == y[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(y)), CrossEntropy(probs, y)
-}
-
 // FitConfig controls training.
 type FitConfig struct {
 	Epochs    int
@@ -127,8 +114,6 @@ type FitConfig struct {
 	// forward/backward work. 0 means GOMAXPROCS; values above the
 	// engine's canonical shard count (8) are clamped. Training results
 	// are byte-identical at every worker count — see parallel.go.
-	// Networks containing an LSTM ignore this and train on the serial
-	// whole-batch path.
 	Workers int
 }
 
@@ -146,9 +131,9 @@ func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
 
 // FitBits is Fit over packed {0,1} rows, with bit-identical results:
 // the History and trained weights equal Fit's on the rows expanded to
-// 0.0/1.0 floats. A network whose first layer is Dense and that trains
-// on the sharded engine reads the packed rows directly (see
-// Dense.forwardBits); any other network trains on the expanded rows.
+// 0.0/1.0 floats. A network whose first layer is Dense reads the
+// packed rows directly (see Dense.forwardBits); any other network
+// trains on the expanded rows.
 func (n *Network) FitBits(x *BitMatrix, y []int, cfg FitConfig) (*History, error) {
 	if len(x.Data) != x.Rows*x.Words() {
 		return nil, fmt.Errorf("nn: %d×%d packed samples need %d words, got %d", x.Rows, x.Cols, x.Rows*x.Words(), len(x.Data))
@@ -213,27 +198,21 @@ func (n *Network) train(in fitInput, y []int, cfg FitConfig) (*History, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	st := n.shardedFitState(bs, cols, workers)
-	if _, dense := n.layers[0].(*Dense); in.xb != nil && (st == nil || !dense) {
-		// Packed rows reach the first layer only through Dense on the
-		// sharded engine; everything else trains on the float rows.
+	if _, dense := n.layers[0].(*Dense); in.xb != nil && !dense {
+		// Packed rows reach the first layer only through Dense;
+		// everything else trains on the float rows.
 		in = fitInput{x: in.xb.expand(NewMatrix(rows, cols))}
 	}
-	if st != nil {
-		return n.fitSharded(st, in, y, order, bs, opt, r, cfg)
-	}
-	return n.fitWholeBatch(in.x, y, order, bs, opt, r, cfg)
+	return n.fitSharded(n.shardedFitState(bs, cols, workers), in, y, order, bs, opt, r, cfg)
 }
 
 // fitSharded is the data-parallel deterministic training loop: every
 // mini-batch is processed by the canonical shard engine in parallel.go,
-// so results are byte-identical at any worker count and the steady
-// state allocates nothing. The engine's workers also apply an
-// optimizer with a range form (Adam, SGD); any other optimizer steps
-// here, on the merged gradients.
+// whose workers also apply the optimizer to the merged gradients, so
+// results are byte-identical at any worker count.
 func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
 	hist := &History{}
-	st.opt, _ = opt.(rangeOptimizer)
+	st.opt = opt
 	st.startPool()
 	defer func() {
 		st.stopPool()
@@ -249,96 +228,8 @@ func (n *Network) fitSharded(st *fitState, in fitInput, y []int, order []int, bs
 			}
 			m := end - start
 			lossSum, hits := st.runStep(in, y, order, start, m)
-			if st.opt == nil {
-				opt.Step(st.netParams)
-			}
 			totalLoss += lossSum
 			totalHit += hits
-			seen += m
-		}
-		epochLoss := totalLoss / float64(seen)
-		epochAcc := float64(totalHit) / float64(seen)
-		hist.Loss = append(hist.Loss, epochLoss)
-		hist.Acc = append(hist.Acc, epochAcc)
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, epochLoss, epochAcc)
-		}
-	}
-	return hist, nil
-}
-
-// fitWholeBatch is the legacy serial training loop, kept for networks
-// containing an LSTM, whose BPTT caches the sharded engine does not
-// replicate. Its numerics are bit-for-bit those of the historical Fit
-// implementation; the scratch buffers below only remove per-step
-// allocations.
-func (n *Network) fitWholeBatch(x *Matrix, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
-	params := n.Params()
-	hist := &History{}
-	classes := n.Classes()
-
-	bx := NewMatrix(bs, x.Cols)
-	by := make([]int, bs)
-	// The trailing partial batch has the same size every epoch; keep a
-	// second scratch pair for it instead of reallocating per epoch.
-	var pbx *Matrix
-	var pby []int
-	if rem := x.Rows % bs; rem != 0 {
-		pbx = NewMatrix(rem, x.Cols)
-		pby = make([]int, rem)
-	}
-	// One probability matrix serves both batch shapes: ensureMatrix
-	// reslices it down for the trailing partial batch.
-	probs := NewMatrix(bs, classes)
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		totalLoss, totalHit, seen := 0.0, 0, 0
-		for start := 0; start < x.Rows; start += bs {
-			end := start + bs
-			if end > x.Rows {
-				end = x.Rows
-			}
-			m := end - start
-			batchX := bx
-			batchY := by
-			if m != bs {
-				batchX = pbx
-				batchY = pby
-			}
-			for k := 0; k < m; k++ {
-				src := order[start+k]
-				copy(batchX.Row(k), x.Row(src))
-				batchY[k] = y[src]
-			}
-
-			logits := n.Forward(batchX, true)
-			probs = ensureMatrix(probs, m, classes)
-			softmaxInto(probs, logits)
-			loss := CrossEntropy(probs, batchY)
-			// Hits must be counted before the in-place gradient below
-			// overwrites the probabilities.
-			for i := 0; i < m; i++ {
-				if Argmax(probs.Row(i)) == batchY[i] {
-					totalHit++
-				}
-			}
-			// Gradient (softmax − onehot)/m in place of the probability
-			// scratch — elementwise identical to the historical
-			// clone-then-scale SoftmaxCrossEntropyGrad.
-			inv := 1 / float64(m)
-			for i, yv := range batchY {
-				probs.Data[i*classes+yv] -= 1
-			}
-			probs.Scale(inv)
-
-			for _, p := range params {
-				p.ZeroGrad()
-			}
-			backward(n.layers, probs)
-			opt.Step(params)
-
-			totalLoss += loss * float64(m)
 			seen += m
 		}
 		epochLoss := totalLoss / float64(seen)

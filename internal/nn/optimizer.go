@@ -2,24 +2,16 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients. Step
-// consumes (and does not clear) the gradients; callers zero them per
-// batch.
+// Optimizer updates parameters from their merged gradients. Adam and
+// SGD are the only implementations. Their update is elementwise, so
+// the training engine splits it by parameter range across its workers:
+// begin runs once per step before any worker starts; it advances step
+// counters and allocates per-parameter state, so no worker ever writes
+// a map. update then applies the step to elements [lo, hi) of one
+// parameter; the engine covers every element of every parameter
+// exactly once per step.
 type Optimizer interface {
 	Name() string
-	Step(params []*Param)
-}
-
-// rangeOptimizer is an Optimizer whose update is elementwise, so the
-// sharded training engine can split it by parameter range across its
-// workers. begin runs once per step before any worker starts: it
-// advances step counters and allocates per-parameter state, so no
-// worker ever writes a map. update then applies the step to elements
-// [lo, hi) of one parameter; the engine covers every element of every
-// parameter exactly once. Step is begin plus a full-range update of
-// each parameter, so both paths run the same arithmetic.
-type rangeOptimizer interface {
-	Optimizer
 	begin(params []*Param)
 	update(p *Param, lo, hi int)
 }
@@ -38,14 +30,6 @@ func NewSGD(lr, momentum float64) *SGD {
 
 // Name identifies the optimizer.
 func (s *SGD) Name() string { return "sgd" }
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []*Param) {
-	s.begin(params)
-	for _, p := range params {
-		s.update(p, 0, len(p.W))
-	}
-}
 
 // begin allocates the velocity of any parameter that has none yet.
 func (s *SGD) begin(params []*Param) {
@@ -98,14 +82,6 @@ func NewAdam(lr float64) *Adam {
 
 // Name identifies the optimizer.
 func (a *Adam) Name() string { return "adam" }
-
-// Step applies one Adam update with bias correction.
-func (a *Adam) Step(params []*Param) {
-	a.begin(params)
-	for _, p := range params {
-		a.update(p, 0, len(p.W))
-	}
-}
 
 // begin advances the step count, computes its bias corrections and
 // allocates the moments of any parameter that has none yet.

@@ -11,13 +11,12 @@ import (
 // that core.Dataset stores. Bits past Cols in a row's last word are
 // ignored by every consumer.
 //
-// A network whose first layer is Dense predicts from packed rows
-// directly, and trains from them when it runs on the sharded engine
-// (see Dense.forwardBits and Network.FitBits): the first layer's product
-// becomes a sum of weight rows at the set bits, with the same addition
-// chain MulInto applies to the equivalent 0.0/1.0 float rows, so
-// results are bit-identical to the float path. Other networks expand
-// the rows to floats first.
+// A network whose first layer is Dense predicts and trains from packed
+// rows directly (see Dense.forwardBits and Network.FitBits): the first
+// layer's product becomes a sum of weight rows at the set bits, with
+// the same addition chain MulInto applies to the equivalent 0.0/1.0
+// float rows, so results are bit-identical to the float path. Other
+// networks expand the rows to floats first.
 type BitMatrix struct {
 	Rows, Cols int
 	Data       []uint64

@@ -131,9 +131,9 @@ func TestFitBitsMatchesFit(t *testing.T) {
 	}
 }
 
-// TestDenseBitsKernelsMatchFloat: the packed first-layer forward (serial
-// and row-parallel) and weight gradient equal the float kernels to the
-// last bit, including the sign of zero.
+// TestDenseBitsKernelsMatchFloat: the packed first-layer forward
+// (serial in training, row-parallel in inference) and weight gradient
+// equal the float kernels to the last bit, including the sign of zero.
 func TestDenseBitsKernelsMatchFloat(t *testing.T) {
 	for _, cols := range []int{1, 63, 64, 65, 130} {
 		for _, out := range []int{1, 3, 4, 9, 33} {
@@ -157,9 +157,7 @@ func TestDenseBitsKernelsMatchFloat(t *testing.T) {
 					what := fmt.Sprintf("cols=%d out=%d scalar=%v", cols, out, scalar)
 					want := d.Forward(x, false)
 					matricesBitIdentical(t, what+" forward", d.forwardBits(xb, false), want)
-					d.seq = true
-					matricesBitIdentical(t, what+" serial forward", d.forwardBits(xb, false), want)
-					d.seq = false
+					matricesBitIdentical(t, what+" training forward", d.forwardBits(xb, true), want)
 					wantG := randMatrix(r, cols, out)
 					gotG := wantG.Clone()
 					MulTNAcc(wantG.Data, x, g)
@@ -178,8 +176,7 @@ func TestDenseBitsKernelsMatchFloat(t *testing.T) {
 
 // TestPredictBitsMatchesPredict: packed and float Predictor outputs
 // agree for a Dense-first network (packed forward) and for networks
-// that fall back to the float expansion (Conv1D first; LSTM, which has
-// no replica layers).
+// that expand the rows to floats (Conv1D or LSTM first).
 func TestPredictBitsMatchesPredict(t *testing.T) {
 	r := prng.New(31)
 	mlp, _ := MLP(70, []int{24}, 3, LeakyReLU, r)
@@ -198,9 +195,10 @@ func TestPredictBitsMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestFitBitsFallbacks: networks the packed engine does not serve —
-// a Conv1D first layer (sharded) and an LSTM (whole-batch engine) —
-// train on the expanded rows with results equal to Fit's.
+// TestFitBitsFallbacks: networks whose first layer is not Dense — a
+// Conv1D or an LSTM — train on the expanded rows with results equal to
+// Fit's, and so does a Dense first layer ahead of an LSTM, which reads
+// the packed rows.
 func TestFitBitsFallbacks(t *testing.T) {
 	builds := map[string]func() *Network{
 		"conv1d": func() *Network {
@@ -208,9 +206,12 @@ func TestFitBitsFallbacks(t *testing.T) {
 			net, _ := NewNetwork(NewConv1D(16, 1, 2, 3, r), NewActivation(ReLU, 32), NewDense(32, 2, r))
 			return net
 		},
-		"lstm": func() *Network {
-			r := prng.New(4)
-			net, _ := NewNetwork(NewDense(16, 8, r), NewLSTM(2, 4, 4, r), NewDense(4, 2, r))
+		"lstm-stack": func() *Network {
+			net, _ := lstmStack(prng.New(4))
+			return net
+		},
+		"dense-lstm": func() *Network {
+			net, _ := denseLSTM(prng.New(4))
 			return net
 		},
 	}
@@ -233,33 +234,32 @@ func TestFitBitsFallbacks(t *testing.T) {
 	}
 }
 
-// TestFitSkipsFirstLayerInputGradient: neither training engine computes
-// layer 0's input gradient, whose result nothing reads.
+// TestFitSkipsFirstLayerInputGradient: the training engine's replicas
+// never compute layer 0's input gradient, whose result nothing reads,
+// in an MLP and ahead of an LSTM alike; and the network's own layers
+// never train.
 func TestFitSkipsFirstLayerInputGradient(t *testing.T) {
 	x, _ := randBits(prng.New(6), 40, 16, false)
 	y := parity(x)
 	cfg := FitConfig{Epochs: 1, BatchSize: 8, Workers: 2}
-	r := prng.New(7)
-	sharded, _ := MLP(16, []int{8}, 2, ReLU, r)
-	whole, _ := NewNetwork(NewDense(16, 8, r), NewLSTM(2, 4, 4, r), NewDense(4, 2, r))
-	for _, net := range []*Network{sharded, whole} {
+	mlp, _ := MLP(16, []int{8}, 2, ReLU, prng.New(7))
+	lstm, _ := denseLSTM(prng.New(7))
+	for _, net := range []*Network{mlp, lstm} {
 		if _, err := net.Fit(x, y, cfg); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if sharded.fit == nil || whole.fit != nil {
-		t.Fatal("networks did not train on the expected engines")
-	}
-	// Worker 0 always runs shards; the others may find none left.
-	if sharded.fit.clones[0][2].(*Dense).dx == nil {
-		t.Fatal("sharded engine: layer 2 computed no input gradient")
-	}
-	for w, layers := range sharded.fit.clones {
-		if layers[0].(*Dense).dx != nil {
-			t.Fatalf("sharded worker %d: layer 0 computed an input gradient", w)
+		name := net.layers[1].Name()
+		// Worker 0 always runs shards; the others may find none left.
+		if net.fit.clones[0][2].(*Dense).dx == nil {
+			t.Fatalf("%s: layer 2 computed no input gradient", name)
 		}
-	}
-	if whole.layers[0].(*Dense).dx != nil || whole.layers[2].(*Dense).dx == nil {
-		t.Fatal("whole-batch engine: layer 0 computed an input gradient, or layer 2 did not")
+		for w, layers := range net.fit.clones {
+			if layers[0].(*Dense).dx != nil {
+				t.Fatalf("%s worker %d: layer 0 computed an input gradient", name, w)
+			}
+		}
+		if d := net.layers[0].(*Dense); d.x != nil || d.xb != nil || d.dx != nil {
+			t.Fatalf("%s: the network's own layer 0 ran a training pass", name)
+		}
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the data-parallel deterministic training engine
-// and the allocation-free batched Predictor.
+// This file implements the data-parallel deterministic training engine,
+// which trains every network, and the allocation-free batched
+// Predictor.
 //
 // Determinism contract (the same one GenerateDatasetParallel honors):
 // training results are byte-identical at any worker count. Floating-
@@ -50,20 +51,6 @@ const stepChunk = 1024
 // paramChunk is elements [lo, hi) of parameter pi.
 type paramChunk struct{ pi, lo, hi int }
 
-// trainCloner is implemented by layers that can replicate themselves
-// for sharded training: the replica shares weight slices with the
-// original but owns caches and (engine-bound) gradient buffers, and
-// runs its kernels on the calling goroutine.
-type trainCloner interface {
-	cloneForTrain() Layer
-}
-
-// evalCloner is implemented by layers that can replicate themselves for
-// scratch-reusing batched inference.
-type evalCloner interface {
-	cloneForEval() Layer
-}
-
 // fitState is the reusable engine for one (batch size, width, workers)
 // shape. It is cached on the Network, so repeated Fit calls — and every
 // step after the first — run with zero steady-state allocations.
@@ -89,7 +76,7 @@ type fitState struct {
 	order []int
 	start int
 	m     int
-	opt   rangeOptimizer // nil: the caller steps the optimizer after the merge
+	opt   Optimizer
 
 	cursor     atomic.Int64 // next shard to claim
 	shardsDone atomic.Int64 // shards finished this step
@@ -102,9 +89,7 @@ type fitState struct {
 }
 
 // shardedFitState returns the cached or freshly built engine for this
-// network, or nil when the network contains an LSTM, whose BPTT caches
-// are not replicated. Such a network trains on the legacy whole-batch
-// path, which ignores the worker count but remains deterministic.
+// network.
 func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 	if workers < 1 {
 		workers = 1
@@ -122,11 +107,7 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 	for w := 0; w < workers; w++ {
 		layers := make([]Layer, len(n.layers))
 		for i, l := range n.layers {
-			tc, ok := l.(trainCloner)
-			if !ok {
-				return nil
-			}
-			layers[i] = tc.cloneForTrain()
+			layers[i] = l.replica()
 		}
 		var ps []*Param
 		for _, l := range layers {
@@ -200,19 +181,17 @@ func (st *fitState) stopPool() {
 }
 
 // runStep trains on rows order[start : start+m] of (in, y), leaving
-// the merged gradients in the network parameters' Grad buffers and,
-// when st.opt is set, the updated weights in their W buffers. It
-// returns the summed cross-entropy (Σ −log p, not yet divided by m)
-// and the correct-prediction count.
+// the merged gradients in the network parameters' Grad buffers and the
+// updated weights in their W buffers. It returns the summed
+// cross-entropy (Σ −log p, not yet divided by m) and the
+// correct-prediction count.
 func (st *fitState) runStep(in fitInput, y []int, order []int, start, m int) (lossSum float64, hits int) {
 	st.input, st.y, st.order, st.start, st.m = in, y, order, start, m
 	st.cursor.Store(0)
 	st.shardsDone.Store(0)
 	st.chunkNext.Store(0)
 	st.mergeOK = false
-	if st.opt != nil {
-		st.opt.begin(st.netParams)
-	}
+	st.opt.begin(st.netParams)
 	if st.startCh != nil {
 		st.wg.Add(st.workers - 1)
 		for i := 1; i < st.workers; i++ {
@@ -275,9 +254,7 @@ func (st *fitState) mergeChunk(c paramChunk) {
 		s[v] = st.grads[v][c.pi][c.lo:c.hi]
 	}
 	foldShards(&s)
-	if st.opt != nil {
-		st.opt.update(st.netParams[c.pi], c.lo, c.hi)
-	}
+	st.opt.update(st.netParams[c.pi], c.lo, c.hi)
 }
 
 // foldShards merges the eight equal-length shard slices into s[0] by
@@ -378,10 +355,9 @@ func (st *fitState) runShard(w, v int) {
 	backward(layers, probs)
 }
 
-// backward runs the backward pass from the loss gradient g through
-// layers; both training engines end their steps here. Layer 0's input
-// gradient has no reader, so a Dense layer 0 only accumulates its
-// parameter gradients.
+// backward runs a shard's backward pass from the loss gradient g
+// through its replica layers. Layer 0's input gradient has no reader,
+// so a Dense layer 0 only accumulates its parameter gradients.
 func backward(layers []Layer, g *Matrix) {
 	for i := len(layers) - 1; i > 0; i-- {
 		g = layers[i].Backward(g)
@@ -400,23 +376,17 @@ func backward(layers []Layer, g *Matrix) {
 // Network.Predict. A Predictor is not safe for concurrent use; derive
 // one per goroutine with NewPredictor.
 type Predictor struct {
-	net    *Network
-	layers []Layer // nil: fall back to the allocating path (LSTM)
+	layers []Layer // replicas of the network's layers
 	in     *Matrix // float expansion of packed rows (non-Dense first layer)
 }
 
-// NewPredictor builds a Predictor for the network. Networks with
-// non-replicable layers (LSTM) fall back to Network.Predict internally.
+// NewPredictor builds a Predictor for the network.
 func (n *Network) NewPredictor() *Predictor {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
-		ec, ok := l.(evalCloner)
-		if !ok {
-			return &Predictor{net: n}
-		}
-		layers[i] = ec.cloneForEval()
+		layers[i] = l.replica()
 	}
-	return &Predictor{net: n, layers: layers}
+	return &Predictor{layers: layers}
 }
 
 // PredictInto writes the argmax class of each row of x into dst,
@@ -427,12 +397,7 @@ func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
 	if cap(dst) < x.Rows {
 		dst = make([]int, x.Rows)
 	}
-	dst = dst[:x.Rows]
-	if p.layers == nil {
-		copy(dst, p.net.Predict(x))
-		return dst
-	}
-	return argmaxRows(dst, forwardFrom(p.layers, x, x))
+	return argmaxRows(dst[:x.Rows], forwardFrom(p.layers, x, x))
 }
 
 // forwardFrom runs the replica layers on x in inference mode. An
@@ -456,11 +421,8 @@ func forwardFrom(layers []Layer, x, caller *Matrix) *Matrix {
 // network predicts from the rows expanded to 0.0/1.0 floats. Either
 // way the classes are bitwise those of PredictInto on the float rows.
 func (p *Predictor) PredictBitsInto(dst []int, x *BitMatrix) []int {
-	var d *Dense
-	if p.layers != nil {
-		d, _ = p.layers[0].(*Dense)
-	}
-	if d == nil {
+	d, ok := p.layers[0].(*Dense)
+	if !ok {
 		x.check()
 		p.in = x.expand(ensureMatrix(p.in, x.Rows, x.Cols))
 		return p.PredictInto(dst, p.in)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -54,12 +55,16 @@ func paramBits(net *nn.Network) []uint64 {
 	return bits
 }
 
-// fitFactories builds the network families that train on the sharded
-// engine, each from a fixed seed so repeated builds are identical.
-var fitFactories = []struct {
+// netFactory builds a network from a fixed seed, so repeated builds
+// are identical.
+type netFactory struct {
 	name  string
 	build func() *nn.Network
-}{
+}
+
+// fitFactories are the layer families whose training step allocates
+// nothing.
+var fitFactories = []netFactory{
 	{"mlp-leaky", func() *nn.Network {
 		r := prng.New(42)
 		net, err := nn.MLP(12, []int{16, 8}, 2, nn.LeakyReLU, r)
@@ -76,6 +81,31 @@ var fitFactories = []struct {
 			nn.NewActivation(nn.ReLU, c.OutDim()),
 			nn.NewDense(c.OutDim(), 2, r),
 		)
+		if err != nil {
+			panic(err)
+		}
+		return net
+	}},
+}
+
+// lstmFactories are the LSTM networks: Dense → LSTM → Dense, and
+// Table 3's LSTM(ReturnSeq) → LSTM → Dense shape. An LSTM replica
+// allocates its BPTT caches every step, so these stay out of
+// TestFitShardedSteadyStateAllocs.
+var lstmFactories = []netFactory{
+	{"dense-lstm", func() *nn.Network {
+		r := prng.New(45)
+		net, err := nn.NewNetwork(nn.NewDense(12, 8, r), nn.NewLSTM(2, 4, 4, r), nn.NewDense(4, 2, r))
+		if err != nil {
+			panic(err)
+		}
+		return net
+	}},
+	{"lstm-stack", func() *nn.Network {
+		r := prng.New(46)
+		l1 := nn.NewLSTM(3, 4, 6, r)
+		l1.ReturnSeq = true
+		net, err := nn.NewNetwork(l1, nn.NewLSTM(3, 6, 5, r), nn.NewDense(5, 2, r))
 		if err != nil {
 			panic(err)
 		}
@@ -103,14 +133,11 @@ func trainWith(t *testing.T, build func() *nn.Network, workers int) (*nn.Network
 
 // TestFitParallelByteIdentical is the engine's core regression: trained
 // weights and per-epoch history must match serial training bit for bit
-// at every worker count, for every shardable layer family.
+// at every worker count, for every layer family, the LSTM included.
 func TestFitParallelByteIdentical(t *testing.T) {
-	for _, nf := range fitFactories {
+	for _, nf := range slices.Concat(fitFactories, lstmFactories) {
 		t.Run(nf.name, func(t *testing.T) {
 			refNet, refHist := trainWith(t, nf.build, 1)
-			if !refNet.HasShardedFitState() {
-				t.Fatalf("%s did not train on the sharded engine", nf.name)
-			}
 			ref := paramBits(refNet)
 			for _, w := range []int{4, 7} {
 				net, hist := trainWith(t, nf.build, w)
@@ -133,7 +160,7 @@ func TestFitParallelByteIdentical(t *testing.T) {
 }
 
 // TestFitWorkersZeroMeansGOMAXPROCS: the default worker count must also
-// land on the engine and produce the canonical bytes.
+// produce the canonical bytes.
 func TestFitWorkersZeroMeansGOMAXPROCS(t *testing.T) {
 	build := fitFactories[0].build
 	refNet, _ := trainWith(t, build, 1)
@@ -142,37 +169,6 @@ func TestFitWorkersZeroMeansGOMAXPROCS(t *testing.T) {
 	for i := range ref {
 		if got[i] != ref[i] {
 			t.Fatalf("Workers=0 diverged from serial at scalar %d", i)
-		}
-	}
-	if !defNet.HasShardedFitState() {
-		t.Fatal("Workers=0 did not use the sharded engine")
-	}
-}
-
-// TestFitLSTMFallsBackToWholeBatch: networks containing an LSTM must
-// ignore Workers and train identically on the whole-batch path.
-func TestFitLSTMFallsBackToWholeBatch(t *testing.T) {
-	build := func() *nn.Network {
-		r := prng.New(45)
-		net, err := nn.NewNetwork(
-			nn.NewDense(12, 8, r),
-			nn.NewLSTM(2, 4, 4, r),
-			nn.NewDense(4, 2, r),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	refNet, _ := trainWith(t, build, 1)
-	if refNet.HasShardedFitState() {
-		t.Fatal("LSTM network unexpectedly trained on the sharded engine")
-	}
-	parNet, _ := trainWith(t, build, 4)
-	ref, got := paramBits(refNet), paramBits(parNet)
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("legacy fallback diverged between worker counts at scalar %d", i)
 		}
 	}
 }
@@ -255,7 +251,7 @@ func TestPredictorMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets["lstm-fallback"] = lstm
+	nets["lstm"] = lstm
 
 	x, y := synthData(prng.New(31), 40, 12)
 	for name, net := range nets {
@@ -356,7 +352,7 @@ func rowsOf(m *nn.Matrix, lo, hi int) [][]float64 {
 // TestFitShardedSteadyStateAllocs: after the first Fit call has built
 // the engine and scratch, further Fit calls allocate only the
 // per-call bookkeeping (order slice, history, PRNG) — nothing per step,
-// for every shardable layer family.
+// for every layer family but the LSTM.
 func TestFitShardedSteadyStateAllocs(t *testing.T) {
 	x, y := synthData(prng.New(8), 256, 12)
 	for _, nf := range fitFactories {
@@ -415,13 +411,15 @@ func TestFitReleasesWorkers(t *testing.T) {
 // counts, from float rows and (the bits sub-benchmarks) from the same
 // rows packed, which trains the first layer on the packed engine.
 // Steady state reuses the cached engine, so allocs/op stays at the
-// per-call bookkeeping floor.
+// per-call bookkeeping floor. The lstm sub-benchmarks train an LSTM
+// over the same rows as 16 timesteps of 8 bits, whose replicas
+// allocate their BPTT caches every step.
 func BenchmarkFit(b *testing.B) {
 	x, y := synthData(prng.New(3), 1024, 128)
 	xb := packRows(x)
-	fit := func(b *testing.B, w int, train func(*nn.Network, nn.FitConfig) error) {
-		r := prng.New(5)
-		net, err := nn.MLP(128, []int{128, 128}, 2, nn.ReLU, r)
+	mlp := func(r *prng.Rand) (*nn.Network, error) { return nn.MLP(128, []int{128, 128}, 2, nn.ReLU, r) }
+	fitNet := func(b *testing.B, build func(*prng.Rand) (*nn.Network, error), w int, train func(*nn.Network, nn.FitConfig) error) {
+		net, err := build(prng.New(5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,20 +435,25 @@ func BenchmarkFit(b *testing.B) {
 			}
 		}
 	}
+	fitFloat := func(net *nn.Network, cfg nn.FitConfig) error {
+		_, err := net.Fit(x, y, cfg)
+		return err
+	}
 	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			fit(b, w, func(net *nn.Network, cfg nn.FitConfig) error {
-				_, err := net.Fit(x, y, cfg)
-				return err
-			})
-		})
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { fitNet(b, mlp, w, fitFloat) })
 	}
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("bits/workers=%d", w), func(b *testing.B) {
-			fit(b, w, func(net *nn.Network, cfg nn.FitConfig) error {
+			fitNet(b, mlp, w, func(net *nn.Network, cfg nn.FitConfig) error {
 				_, err := net.FitBits(xb, y, cfg)
 				return err
 			})
 		})
+	}
+	lstm := func(r *prng.Rand) (*nn.Network, error) {
+		return nn.NewNetwork(nn.NewLSTM(16, 8, 32, r), nn.NewDense(32, 2, r))
+	}
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("lstm/workers=%d", w), func(b *testing.B) { fitNet(b, lstm, w, fitFloat) })
 	}
 }

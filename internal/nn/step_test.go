@@ -157,3 +157,73 @@ func TestAdamUpdateMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// wholeBatchGrad is the specification of one training step's
+// gradient: one Forward(x, true) over the network's own layers, the
+// softmax cross-entropy gradient of the whole batch, then Backward down
+// the stack. It returns a copy of every parameter's gradient.
+func wholeBatchGrad(net *Network, x *Matrix, y []int) [][]float64 {
+	for _, p := range net.Params() {
+		clear(p.Grad)
+	}
+	g := SoftmaxCrossEntropyGrad(Softmax(net.Forward(x, true)), y)
+	for i := len(net.layers) - 1; i >= 0; i-- {
+		g = net.layers[i].Backward(g)
+	}
+	var grads [][]float64
+	for _, p := range net.Params() {
+		grads = append(grads, append([]float64(nil), p.Grad...))
+	}
+	return grads
+}
+
+// TestShardedGradientMatchesWholeBatch: the engine's merged gradient of
+// one batch, eight shard sums folded in tree order, matches the
+// whole-batch specification within 1e-12 × max|g| per parameter, at
+// workers 1, 4 and 7. Fit trains one step at learning rate 0, which
+// keeps the weights, so each parameter's Grad then holds that step's
+// merged gradient.
+func TestShardedGradientMatchesWholeBatch(t *testing.T) {
+	builds := map[string]func(r *prng.Rand) (*Network, error){
+		"lstm-stack": lstmStack,
+		"dense-lstm": denseLSTM,
+		"mlp": func(r *prng.Rand) (*Network, error) {
+			return MLP(16, []int{12, 7}, 3, LeakyReLU, r)
+		},
+		"cnn": func(r *prng.Rand) (*Network, error) {
+			return NewNetwork(NewConv1D(16, 1, 3, 3, r), NewActivation(ReLU, 48), NewDense(48, 2, r))
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			net, err := build(prng.New(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := smallBatch(prng.New(22), 37, net.InDim(), net.Classes())
+			want := wholeBatchGrad(net, x, y)
+			for _, workers := range []int{1, 4, 7} {
+				net, _ := build(prng.New(21))
+				cfg := FitConfig{Epochs: 1, BatchSize: x.Rows, Workers: workers, Optimizer: NewSGD(0, 0)}
+				if _, err := net.Fit(x, y, cfg); err != nil {
+					t.Fatal(err)
+				}
+				for pi, p := range net.Params() {
+					scale := 0.0
+					for _, g := range want[pi] {
+						scale = math.Max(scale, math.Abs(g))
+					}
+					if scale == 0 {
+						t.Fatalf("%s has an all-zero gradient", p.Name)
+					}
+					for i, g := range p.Grad {
+						if d := math.Abs(g - want[pi][i]); !(d <= 1e-12*scale) {
+							t.Fatalf("workers=%d %s[%d]: engine %v, whole batch %v (max|g| %v)",
+								workers, p.Name, i, g, want[pi][i], scale)
+						}
+					}
+				}
+			}
+		})
+	}
+}

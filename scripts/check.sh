@@ -23,7 +23,7 @@
 #     cross-validation), uncached so vectors are really re-evaluated;
 #   - a fuzz smoke: each native fuzz target runs for FUZZ_SECONDS
 #     (default 10s) of random exploration, skippable with CHECK_FUZZ=0
-#     for quick local iteration;
+#     for quick local iteration, and prints its final exec count;
 #   - a benchmark smoke (one iteration of the training-engine and
 #     online-phase benchmarks) so BenchmarkFit and
 #     BenchmarkOracleGameOnline cannot silently rot between full
@@ -57,7 +57,12 @@ go test -count=1 ./internal/testkit/
 
 # --- Fuzz smoke: 10s of random exploration per target. Go only
 # supports one -fuzz pattern per invocation, so iterate. -run '^$'
-# skips the unit tests already covered above.
+# skips the unit tests already covered above. The engine minimizes
+# every new input it finds for up to -fuzzminimizetime (60s by
+# default), executing nothing new meanwhile, so an unbounded minimizer
+# spends most of a 10s budget on one input; 1s bounds that. A crasher
+# still fails the gate, only less minimized. Each target's final
+# "fuzz: elapsed" line shows how many inputs it ran.
 FUZZ_SECONDS="${FUZZ_SECONDS:-10}"
 if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
   for target in \
@@ -76,7 +81,12 @@ if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
       "./internal/ledger FuzzLedgerVerify"; do
     set -- $target
     echo "fuzz smoke: $1 $2 (${FUZZ_SECONDS}s)"
-    go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime "${FUZZ_SECONDS}s"
+    if ! out="$(go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime "${FUZZ_SECONDS}s" \
+        -fuzzminimizetime 1s 2>&1)"; then
+      echo "$out" >&2
+      exit 1
+    fi
+    grep 'fuzz: elapsed' <<<"$out" | tail -n 1 || true
   done
 fi
 
