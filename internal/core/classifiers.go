@@ -146,21 +146,23 @@ func (c *NNClassifier) PredictBatch(x [][]float64) []int {
 // [][]float64 view. Predictions are bitwise those of PredictBatch on
 // the Rows() view.
 func (c *NNClassifier) PredictDataset(d *Dataset) []int {
+	return c.predictDatasetInto(nil, d)
+}
+
+// predictDatasetInto is PredictDataset writing each chunk's classes
+// straight into its rows of dst.
+func (c *NNClassifier) predictDatasetInto(dst []int, d *Dataset) []int {
 	n := d.Len()
-	if n == 0 {
-		return nil
+	if cap(dst) < n {
+		dst = make([]int, n)
 	}
+	dst = dst[:n]
 	c.ensurePredictor()
-	out := make([]int, n)
 	for lo := 0; lo < n; lo += predictChunk {
-		hi := lo + predictChunk
-		if hi > n {
-			hi = n
-		}
-		c.outBuf = c.pred.PredictBitsInto(c.outBuf, datasetBits(d, lo, hi))
-		copy(out[lo:hi], c.outBuf)
+		hi := min(lo+predictChunk, n)
+		c.pred.PredictBitsInto(dst[lo:hi], datasetBits(d, lo, hi))
 	}
-	return out
+	return dst
 }
 
 // ensurePredictor rebuilds the cached Predictor when Net was swapped.

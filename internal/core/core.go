@@ -133,6 +133,10 @@ type DatasetClassifier interface {
 	FitDataset(d *Dataset) error
 	// PredictDataset is PredictBatch over the dataset's packed rows.
 	PredictDataset(d *Dataset) []int
+	// predictDatasetInto is PredictDataset writing into dst, which it
+	// grows only when its capacity is short, and returning the filled
+	// slice: Distinguish scores all its chunks into one buffer.
+	predictDatasetInto(dst []int, d *Dataset) []int
 }
 
 // Classifier is the model slot of Algorithm 2. internal/nn networks

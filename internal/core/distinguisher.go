@@ -106,17 +106,18 @@ func fitDataset(c Classifier, d *Dataset) error {
 
 // evalAccuracy scores the classifier on a labelled set.
 func evalAccuracy(c Classifier, d *Dataset) float64 {
-	return stats.Accuracy(predictDataset(c, d), d.Y)
+	return stats.Accuracy(predictDatasetInto(c, nil, d), d.Y)
 }
 
-// predictDataset classifies every row of d: straight from the packed
-// backing store when the classifier understands it (DatasetClassifier;
-// NNClassifier hands the rows to its cached Predictor, which reuses one
-// set of scratch matrices across chunks and calls), through the float
-// view otherwise.
-func predictDataset(c Classifier, d *Dataset) []int {
+// predictDatasetInto classifies every row of d: straight from the
+// packed backing store into dst, grown only when its capacity is short,
+// when the classifier understands it (DatasetClassifier; NNClassifier
+// hands the rows to its cached Predictor, which reuses one set of
+// scratch matrices across chunks and calls), through the float view
+// into a new slice otherwise.
+func predictDatasetInto(c Classifier, dst []int, d *Dataset) []int {
 	if dc, ok := c.(DatasetClassifier); ok {
-		return dc.PredictDataset(d)
+		return dc.predictDatasetInto(dst, d)
 	}
 	return c.PredictBatch(d.Rows())
 }
@@ -145,9 +146,10 @@ const distinguishBatch = 4096
 // Oracle.QueryBits straight into one reused Dataset chunk of up to 4096
 // rows, and each chunk is scored as evalAccuracy scores a dataset: the
 // neural classifiers predict from the packed rows (a few batched
-// forward passes instead of thousands of 1-row ones), the others from
-// the chunk's float view. No query allocates, and the result is that
-// of Query plus PredictBatch on the float answers.
+// forward passes instead of thousands of 1-row ones) into one
+// prediction buffer for the whole call, the others from the chunk's
+// float view. No query allocates, and the result is that of Query plus
+// PredictBatch on the float answers.
 func (d *Distinguisher) Distinguish(o Oracle, queries int, r *prng.Rand) (OnlineResult, error) {
 	t := d.Scenario.Classes()
 	if queries <= 0 {
@@ -159,6 +161,7 @@ func (d *Distinguisher) Distinguish(o Oracle, queries int, r *prng.Rand) (Online
 	}
 	feat := d.Scenario.FeatureLen()
 	chunk := newDataset(min(queries, distinguishBatch), feat)
+	var preds []int
 	hits := 0
 	for done := 0; done < queries; done += chunk.Len() {
 		chunk.resize(min(queries-done, distinguishBatch))
@@ -171,7 +174,8 @@ func (d *Distinguisher) Distinguish(o Oracle, queries int, r *prng.Rand) (Online
 			}
 			chunk.Y[k] = c
 		}
-		for k, p := range predictDataset(d.Classifier, chunk) {
+		preds = predictDatasetInto(d.Classifier, preds, chunk)
+		for k, p := range preds {
 			if p == chunk.Y[k] {
 				hits++
 			}

@@ -62,7 +62,7 @@ func specPlayGames(d *Distinguisher, n, queries int, seed uint64) (GameResult, e
 }
 
 // TestDistinguishMatchesFloatSpec: the packed online phase (QueryBits
-// into a reused Dataset chunk, scored by predictDataset) returns exactly
+// into a reused Dataset chunk, scored by predictDatasetInto) returns exactly
 // the float specification's result and leaves the generator in the same
 // state, for the neural, bit-bias and SVM classifiers, both oracles,
 // query counts below, at and across the chunk size, and feature widths

@@ -2,7 +2,10 @@
 
 package nn
 
-import "repro/internal/cpu"
+import (
+	"repro/internal/bits"
+	"repro/internal/cpu"
+)
 
 // useMulAVX2 gates the AVX2 matrix micro-kernels. It is a variable so
 // tests can force the scalar path and compare bit for bit.
@@ -16,6 +19,18 @@ func axpy2AVX2(o, b0, b1 *float64, a0, a1 float64, m4 int)
 
 //go:noescape
 func axpy1AVX2(o, b0 *float64, a0 float64, m4 int)
+
+//go:noescape
+func bitsFwd16AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
+
+//go:noescape
+func bitsFwd1AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
+
+//go:noescape
+func bitsGrad16AVX2(acc, grad *float64, masks *[64]uint64, nfeat, m int)
+
+//go:noescape
+func bitsGrad1AVX2(acc, grad *float64, masks *[64]uint64, nfeat, m int)
 
 //go:noescape
 func mulNarrowAVX2(o, a, b *float64, n, k, m int, mask *[4]int64)
@@ -305,31 +320,68 @@ func mulNarrowRange(out, a, b *Matrix, lo, hi int) {
 	mulNarrowAVX2(&out.Data[lo*m], &a.Data[lo*k], &b.Data[0], hi-lo, k, m, &mask)
 }
 
-// addRows adds b0 into o (o[j] += b0[j]) — the packed first layer's
-// unit-weight axpy, through axpy1AVX2 with a0 = 1 (1·b is exact, so
-// the lanes round like the plain-Go add).
-func addRows(o, b0 []float64) {
-	m4 := 0
-	if useMulAVX2 {
-		m4 = len(o) &^ 3
+// bitsMulAccel runs bitsMulRange over the longest 4-aligned prefix of
+// the columns and returns its width; 0 when AVX2 is off. Each 64-column
+// tile of the rows goes through bitsFwd16AVX2, and the columns past the
+// last full tile through bitsFwd1AVX2, four at a time. The kernels walk
+// each row's set bits themselves, so any input width works without
+// scratch.
+func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int) int {
+	m := w.Cols
+	m4 := m &^ 3
+	if !useMulAVX2 || m4 == 0 || lo >= hi {
+		return 0
 	}
-	if m4 > 0 {
-		axpy1AVX2(&o[0], &b0[0], 1, m4)
+	words := x.Words()
+	o, xr, tail := out.Data[lo*m:], &x.Data[lo*words], x.tailMask()
+	c := 0
+	for ; c+64 <= m4; c += 64 {
+		bitsFwd16AVX2(&o[c], xr, &w.Data[c], &b[c], hi-lo, words, tail, m)
 	}
-	addRowsGo(o[m4:], b0[m4:])
+	for ; c < m4; c += 4 {
+		bitsFwd1AVX2(&o[c], xr, &w.Data[c], &b[c], hi-lo, words, tail, m)
+	}
+	return m4
 }
 
-// addRows2 applies o[j] = (o[j] + b0[j]) + b1[j], two roundings per
-// element, through axpy2AVX2 with unit weights.
-func addRows2(o, b0, b1 []float64) {
-	m4 := 0
-	if useMulAVX2 {
-		m4 = len(o) &^ 3
+// bitsMulTNAccel runs bitsMulTNAcc over the longest 4-aligned prefix of
+// the columns and returns its width; 0 when AVX2 is off. Samples go in
+// blocks of up to 64. For each input word, the block's words are
+// transposed into one sample mask per feature (bits.Transpose64, rows
+// past the block zero), and bitsGrad16AVX2 and bitsGrad1AVX2 add the
+// masked samples' gradient tiles into each feature's dW tile in
+// registers. Blocks run in ascending order, so every element still
+// gains its samples in ascending order. Bits past Cols land in the
+// masks of features past nfeat, which no kernel reads.
+func bitsMulTNAccel(acc []float64, x *BitMatrix, g *Matrix) int {
+	m := g.Cols
+	m4 := m &^ 3
+	if !useMulAVX2 || m4 == 0 || x.Rows == 0 {
+		return 0
 	}
-	if m4 > 0 {
-		axpy2AVX2(&o[0], &b0[0], &b1[0], 1, 1, m4)
+	words := x.Words()
+	var masks [64]uint64
+	for n0 := 0; n0 < x.Rows; n0 += 64 {
+		blk := min(64, x.Rows-n0)
+		gb := g.Data[n0*m:]
+		for wi := 0; wi < words; wi++ {
+			for s := 0; s < blk; s++ {
+				masks[s] = x.Data[(n0+s)*words+wi]
+			}
+			clear(masks[blk:])
+			bits.Transpose64(&masks)
+			nfeat := min(64, x.Cols-wi*64)
+			a := acc[wi*64*m:]
+			c := 0
+			for ; c+64 <= m4; c += 64 {
+				bitsGrad16AVX2(&a[c], &gb[c], &masks, nfeat, m)
+			}
+			for ; c < m4; c += 4 {
+				bitsGrad1AVX2(&a[c], &gb[c], &masks, nfeat, m)
+			}
+		}
 	}
-	addRows2Go(o[m4:], b0[m4:], b1[m4:])
+	return m4
 }
 
 // foldAccel runs the training engine's shard fold (see foldShards) over

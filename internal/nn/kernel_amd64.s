@@ -190,6 +190,229 @@ done:
 	VZEROUPPER
 	RET
 
+// The packed first layer's tile kernels hold a 64-double tile of an
+// output row (Y0–Y15) or a 4-double tile (Y0) in registers, add one
+// source row's tile per set bit in ascending bit order, and store the
+// tile once. These macros are the 16-register tile's load, add and
+// store.
+#define ZERO16 \
+	VXORPD Y0, Y0, Y0; VXORPD Y1, Y1, Y1; VXORPD Y2, Y2, Y2; VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; VXORPD Y5, Y5, Y5; VXORPD Y6, Y6, Y6; VXORPD Y7, Y7, Y7; \
+	VXORPD Y8, Y8, Y8; VXORPD Y9, Y9, Y9; VXORPD Y10, Y10, Y10; VXORPD Y11, Y11, Y11; \
+	VXORPD Y12, Y12, Y12; VXORPD Y13, Y13, Y13; VXORPD Y14, Y14, Y14; VXORPD Y15, Y15, Y15
+
+#define LOAD16(B) \
+	VMOVUPD 0(B), Y0; VMOVUPD 32(B), Y1; VMOVUPD 64(B), Y2; VMOVUPD 96(B), Y3; \
+	VMOVUPD 128(B), Y4; VMOVUPD 160(B), Y5; VMOVUPD 192(B), Y6; VMOVUPD 224(B), Y7; \
+	VMOVUPD 256(B), Y8; VMOVUPD 288(B), Y9; VMOVUPD 320(B), Y10; VMOVUPD 352(B), Y11; \
+	VMOVUPD 384(B), Y12; VMOVUPD 416(B), Y13; VMOVUPD 448(B), Y14; VMOVUPD 480(B), Y15
+
+#define STORE16(B) \
+	VMOVUPD Y0, 0(B); VMOVUPD Y1, 32(B); VMOVUPD Y2, 64(B); VMOVUPD Y3, 96(B); \
+	VMOVUPD Y4, 128(B); VMOVUPD Y5, 160(B); VMOVUPD Y6, 192(B); VMOVUPD Y7, 224(B); \
+	VMOVUPD Y8, 256(B); VMOVUPD Y9, 288(B); VMOVUPD Y10, 320(B); VMOVUPD Y11, 352(B); \
+	VMOVUPD Y12, 384(B); VMOVUPD Y13, 416(B); VMOVUPD Y14, 448(B); VMOVUPD Y15, 480(B)
+
+#define ADD16(B) \
+	VADDPD 0(B), Y0, Y0; VADDPD 32(B), Y1, Y1; VADDPD 64(B), Y2, Y2; VADDPD 96(B), Y3, Y3; \
+	VADDPD 128(B), Y4, Y4; VADDPD 160(B), Y5, Y5; VADDPD 192(B), Y6, Y6; VADDPD 224(B), Y7, Y7; \
+	VADDPD 256(B), Y8, Y8; VADDPD 288(B), Y9, Y9; VADDPD 320(B), Y10, Y10; VADDPD 352(B), Y11, Y11; \
+	VADDPD 384(B), Y12, Y12; VADDPD 416(B), Y13, Y13; VADDPD 448(B), Y14, Y14; VADDPD 480(B), Y15, Y15
+
+#define ADDIDX16(B, I) \
+	VADDPD 0(B)(I*1), Y0, Y0; VADDPD 32(B)(I*1), Y1, Y1; VADDPD 64(B)(I*1), Y2, Y2; VADDPD 96(B)(I*1), Y3, Y3; \
+	VADDPD 128(B)(I*1), Y4, Y4; VADDPD 160(B)(I*1), Y5, Y5; VADDPD 192(B)(I*1), Y6, Y6; VADDPD 224(B)(I*1), Y7, Y7; \
+	VADDPD 256(B)(I*1), Y8, Y8; VADDPD 288(B)(I*1), Y9, Y9; VADDPD 320(B)(I*1), Y10, Y10; VADDPD 352(B)(I*1), Y11, Y11; \
+	VADDPD 384(B)(I*1), Y12, Y12; VADDPD 416(B)(I*1), Y13, Y13; VADDPD 448(B)(I*1), Y14, Y14; VADDPD 480(B)(I*1), Y15, Y15
+
+// bitsFwd16AVX2 computes one 64-column tile of rows rows of the packed
+// first layer's forward pass, b + Σ W[k] over each row's set bits k
+// (x holds the rows' words, words per row; w and b point at the tile's
+// first column of W and of the bias; o and w have a row stride of m
+// doubles). Each row's tile starts at +0, adds W[k]'s tile for every
+// set bit in ascending k, adds the bias tile last and is stored once:
+// element by element the chain ((+0 + W[k1]) + W[k2]) + … + b that
+// MulInto and AddRowVector give the 0.0/1.0 float row. The bits of the
+// last word are ANDed with tail, so W is never read past its rows.
+//
+// func bitsFwd16AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
+TEXT ·bitsFwd16AVX2(SB), NOSPLIT, $0-64
+	MOVQ o+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ b+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ words+40(FP), R11
+	MOVQ m+56(FP), R13
+	SHLQ $3, R13           // o and w row stride in bytes
+	MOVQ R13, DX
+	SHLQ $6, DX            // the w rows of one word's 64 features
+
+row:
+	ZERO16
+	MOVQ R8, R14           // w rows of the current word's features
+	XORQ BX, BX            // word index
+
+word:
+	MOVQ (SI)(BX*8), AX
+	INCQ BX
+	CMPQ BX, R11
+	JNE  scan
+	ANDQ tail+48(FP), AX
+
+scan:
+	TESTQ AX, AX
+	JZ    nextword
+
+bit:
+	BSFQ  AX, CX
+	IMULQ R13, CX          // byte offset of W[k]'s tile
+	LEAQ  -1(AX), R12
+	ANDQ  R12, AX          // clear the bit; sets ZF for the loop
+	ADDIDX16(R14, CX)
+	JNZ   bit
+
+nextword:
+	ADDQ DX, R14
+	CMPQ BX, R11
+	JL   word
+	ADD16(R9)
+	STORE16(DI)
+	ADDQ R13, DI
+	LEAQ (SI)(R11*8), SI
+	DECQ R10
+	JNZ  row
+	VZEROUPPER
+	RET
+
+// bitsFwd1AVX2 is bitsFwd16AVX2 for a 4-column tile, in Y0.
+//
+// func bitsFwd1AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
+TEXT ·bitsFwd1AVX2(SB), NOSPLIT, $0-64
+	MOVQ o+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ b+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ words+40(FP), R11
+	MOVQ m+56(FP), R13
+	SHLQ $3, R13
+	MOVQ R13, DX
+	SHLQ $6, DX
+
+row:
+	VXORPD Y0, Y0, Y0
+	MOVQ R8, R14
+	XORQ BX, BX
+
+word:
+	MOVQ (SI)(BX*8), AX
+	INCQ BX
+	CMPQ BX, R11
+	JNE  scan
+	ANDQ tail+48(FP), AX
+
+scan:
+	TESTQ AX, AX
+	JZ    nextword
+
+bit:
+	BSFQ   AX, CX
+	IMULQ  R13, CX
+	LEAQ   -1(AX), R12
+	ANDQ   R12, AX
+	VADDPD (R14)(CX*1), Y0, Y0
+	JNZ    bit
+
+nextword:
+	ADDQ DX, R14
+	CMPQ BX, R11
+	JL   word
+	VADDPD  (R9), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ R13, DI
+	LEAQ (SI)(R11*8), SI
+	DECQ R10
+	JNZ  row
+	VZEROUPPER
+	RET
+
+// bitsGrad16AVX2 accumulates one 64-column tile of the packed first
+// layer's weight gradient for nfeat features k: bit s of masks[k] is
+// set when sample s of a block (grad's row s) has feature k. acc points
+// at row k = 0's tile of dW and grad at the block's first sample's tile,
+// both with a row stride of m doubles. Each feature with a nonzero
+// mask loads its dW tile, adds grad's tile for every sample in the mask
+// in ascending order, and stores it once: the chain MulTNAcc gives
+// each element for the 0.0/1.0 float input, continuing from what acc
+// held. A feature with an empty mask leaves its row untouched.
+//
+// func bitsGrad16AVX2(acc, grad *float64, masks *[64]uint64, nfeat, m int)
+TEXT ·bitsGrad16AVX2(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ masks+16(FP), R8
+	MOVQ nfeat+24(FP), R9
+	MOVQ m+32(FP), R13
+	SHLQ $3, R13           // acc and g row stride in bytes
+
+feat:
+	MOVQ  (R8), AX
+	TESTQ AX, AX
+	JZ    next
+	LOAD16(DI)
+
+sample:
+	BSFQ  AX, CX
+	IMULQ R13, CX          // byte offset of g's row
+	LEAQ  -1(AX), R12
+	ANDQ  R12, AX
+	ADDIDX16(SI, CX)
+	JNZ   sample
+	STORE16(DI)
+
+next:
+	ADDQ $8, R8
+	ADDQ R13, DI
+	DECQ R9
+	JNZ  feat
+	VZEROUPPER
+	RET
+
+// bitsGrad1AVX2 is bitsGrad16AVX2 for a 4-column tile, in Y0.
+//
+// func bitsGrad1AVX2(acc, grad *float64, masks *[64]uint64, nfeat, m int)
+TEXT ·bitsGrad1AVX2(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ masks+16(FP), R8
+	MOVQ nfeat+24(FP), R9
+	MOVQ m+32(FP), R13
+	SHLQ $3, R13
+
+feat:
+	MOVQ  (R8), AX
+	TESTQ AX, AX
+	JZ    next
+	VMOVUPD (DI), Y0
+
+sample:
+	BSFQ   AX, CX
+	IMULQ  R13, CX
+	LEAQ   -1(AX), R12
+	ANDQ   R12, AX
+	VADDPD (SI)(CX*1), Y0, Y0
+	JNZ    sample
+	VMOVUPD Y0, (DI)
+
+next:
+	ADDQ $8, R8
+	ADDQ R13, DI
+	DECQ R9
+	JNZ  feat
+	VZEROUPPER
+	RET
+
 // mulNarrowAVX2 accumulates n rows of A·B into o for B with m < 4
 // columns (a is n×k, b is k×m, o is n×m, all row-major; k > 0). Lane j
 // of a row's accumulator register is output element j's chain: for k

@@ -12,11 +12,12 @@ func mulRangeAccel(out, a, b *Matrix, lo, hi int) bool { return false }
 // mulTNAccRangeAccel has no accelerated implementation off amd64.
 func mulTNAccRangeAccel(acc []float64, a, b *Matrix, lo, hi int) bool { return false }
 
-// addRows is the plain-Go row add off amd64.
-func addRows(o, b0 []float64) { addRowsGo(o, b0) }
+// bitsMulAccel leaves the packed forward pass to plain Go off amd64.
+func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int) int { return 0 }
 
-// addRows2 is the plain-Go paired row add off amd64.
-func addRows2(o, b0, b1 []float64) { addRows2Go(o, b0, b1) }
+// bitsMulTNAccel leaves the packed weight gradient to plain Go off
+// amd64.
+func bitsMulTNAccel(acc []float64, x *BitMatrix, g *Matrix) int { return 0 }
 
 // foldAccel leaves the whole shard fold to the plain-Go loop off amd64.
 func foldAccel(s *[fitShards][]float64) int { return 0 }

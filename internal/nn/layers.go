@@ -120,8 +120,9 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 
 // forwardBits is Forward for packed {0,1} input: b + Σ W[k] over each
 // row's set bits, bit-identical to Forward on the 0.0/1.0 float rows
-// (see bitsMulRange). Training runs it on the calling goroutine;
-// inference splits rows across goroutines as MulInto does.
+// (see bitsMulRange, which adds the bias too). Training runs it on the
+// calling goroutine; inference splits rows across goroutines as
+// MulInto does.
 func (d *Dense) forwardBits(x *BitMatrix, train bool) *Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s got packed input width %d", d.Name(), x.Cols))
@@ -137,17 +138,12 @@ func (d *Dense) forwardBits(x *BitMatrix, train bool) *Matrix {
 	} else {
 		out = NewMatrix(x.Rows, d.Out)
 	}
-	zeroFloats(out.Data)
 	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 	if train {
-		bitsMulRange(out, x, &d.wm, 0, x.Rows)
+		bitsMulRange(out, x, &d.wm, d.b.W, 0, x.Rows)
 	} else {
-		wm := &d.wm
-		parallelRows(x.Rows, x.Rows*d.In*d.Out, func(lo, hi int) {
-			bitsMulRange(out, x, wm, lo, hi)
-		})
+		bitsMulParallel(out, x, &d.wm, d.b.W)
 	}
-	out.AddRowVector(d.b.W)
 	return out
 }
 

@@ -20,7 +20,9 @@ import (
 //	c_t = f_t∘c_{t−1} + i_t∘g_t,   h_t = o_t∘tanh(c_t)
 //
 // Backward implements full backpropagation through time. A training
-// step allocates its per-timestep caches afresh.
+// replica keeps its per-timestep caches and backward scratch across
+// steps, so a training step allocates nothing once the shapes have
+// been seen.
 type LSTM struct {
 	SeqLen, In, Hidden int
 	// ReturnSeq selects the output shape: false returns the final
@@ -30,11 +32,31 @@ type LSTM struct {
 	ReturnSeq bool
 	wx, wh, b *Param
 
-	// Per-forward caches for BPTT (length SeqLen each).
+	fwd   lstmSteps // the last training forward pass, for BPTT
+	batch int
+
+	// Backward scratch, reused across steps.
+	dx, dh, dc, dcPrev, dz, dxt *Matrix
+}
+
+// lstmSteps is one forward pass's per-timestep matrices (length
+// SeqLen each) and its step scratch. Training keeps it on the layer;
+// inference builds a fresh one, so it writes no layer field.
+type lstmSteps struct {
 	xs             []*Matrix // inputs per step (batch×In)
 	is, fs, gs, os []*Matrix // gate activations (batch×H)
 	cs, hs, tanhCs []*Matrix // cell states, hidden states, tanh(c)
-	batch          int
+	z, zh          *Matrix   // pre-activations x_t·Wx and h_{t−1}·Wh (batch×4H)
+	zero           *Matrix   // h_{−1} = c_{−1} = 0 (batch×H); never written
+	out            *Matrix   // every hidden state, when ReturnSeq is set
+	wx, wh         Matrix    // weight-view headers, avoid a heap allocation per call
+}
+
+// cached returns ms[t] reshaped to rows×cols, allocating it when it is
+// missing or too small.
+func cached(ms []*Matrix, t, rows, cols int) *Matrix {
+	ms[t] = ensureMatrix(ms[t], rows, cols)
+	return ms[t]
 }
 
 // NewLSTM creates an LSTM with Glorot-uniform input weights,
@@ -114,31 +136,37 @@ func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 	}
 	batch := x.Rows
 	H := l.Hidden
-	wx := &Matrix{Rows: l.In, Cols: 4 * H, Data: l.wx.W}
-	wh := &Matrix{Rows: H, Cols: 4 * H, Data: l.wh.W}
-
+	var s *lstmSteps
 	if train {
+		s = &l.fwd
 		l.batch = batch
-		l.xs = make([]*Matrix, l.SeqLen)
-		l.is = make([]*Matrix, l.SeqLen)
-		l.fs = make([]*Matrix, l.SeqLen)
-		l.gs = make([]*Matrix, l.SeqLen)
-		l.os = make([]*Matrix, l.SeqLen)
-		l.cs = make([]*Matrix, l.SeqLen)
-		l.hs = make([]*Matrix, l.SeqLen)
-		l.tanhCs = make([]*Matrix, l.SeqLen)
+	} else {
+		s = new(lstmSteps)
 	}
-
-	h := NewMatrix(batch, H)
-	c := NewMatrix(batch, H)
-	allH := make([]*Matrix, l.SeqLen)
+	s.wx = Matrix{Rows: l.In, Cols: 4 * H, Data: l.wx.W}
+	s.wh = Matrix{Rows: H, Cols: 4 * H, Data: l.wh.W}
+	wx, wh := &s.wx, &s.wh
+	if len(s.hs) != l.SeqLen {
+		s.xs = make([]*Matrix, l.SeqLen)
+		s.is = make([]*Matrix, l.SeqLen)
+		s.fs = make([]*Matrix, l.SeqLen)
+		s.gs = make([]*Matrix, l.SeqLen)
+		s.os = make([]*Matrix, l.SeqLen)
+		s.cs = make([]*Matrix, l.SeqLen)
+		s.hs = make([]*Matrix, l.SeqLen)
+		s.tanhCs = make([]*Matrix, l.SeqLen)
+	}
+	s.zero = ensureMatrix(s.zero, batch, H)
+	s.z = ensureMatrix(s.z, batch, 4*H)
+	s.zh = ensureMatrix(s.zh, batch, 4*H)
+	z, zh := s.z, s.zh
+	h, c := s.zero, s.zero
 	for t := 0; t < l.SeqLen; t++ {
 		// Slice out timestep t as a batch×In matrix.
-		xt := NewMatrix(batch, l.In)
+		xt := cached(s.xs, t, batch, l.In)
 		for n := 0; n < batch; n++ {
 			copy(xt.Row(n), x.Row(n)[t*l.In:(t+1)*l.In])
 		}
-		z, zh := NewMatrix(batch, 4*H), NewMatrix(batch, 4*H)
 		if train {
 			mulIntoSeq(z, xt, wx)
 			mulIntoSeq(zh, h, wh)
@@ -151,13 +179,13 @@ func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 		}
 		z.AddRowVector(l.b.W)
 
-		it := NewMatrix(batch, H)
-		ft := NewMatrix(batch, H)
-		gt := NewMatrix(batch, H)
-		ot := NewMatrix(batch, H)
-		cNew := NewMatrix(batch, H)
-		hNew := NewMatrix(batch, H)
-		tc := NewMatrix(batch, H)
+		it := cached(s.is, t, batch, H)
+		ft := cached(s.fs, t, batch, H)
+		gt := cached(s.gs, t, batch, H)
+		ot := cached(s.os, t, batch, H)
+		cNew := cached(s.cs, t, batch, H)
+		hNew := cached(s.hs, t, batch, H)
+		tc := cached(s.tanhCs, t, batch, H)
 		for n := 0; n < batch; n++ {
 			zr := z.Row(n)
 			cr := c.Row(n)
@@ -177,49 +205,43 @@ func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 				hNew.Row(n)[j] = ov * tcv
 			}
 		}
-		if train {
-			l.xs[t] = xt
-			l.is[t] = it
-			l.fs[t] = ft
-			l.gs[t] = gt
-			l.os[t] = ot
-			l.cs[t] = cNew
-			l.hs[t] = hNew
-			l.tanhCs[t] = tc
-		}
-		allH[t] = hNew
 		h, c = hNew, cNew
 	}
 	if !l.ReturnSeq {
 		return h
 	}
-	out := NewMatrix(batch, l.SeqLen*H)
-	for t, ht := range allH {
+	s.out = ensureMatrix(s.out, batch, l.SeqLen*H)
+	for t, ht := range s.hs {
 		for n := 0; n < batch; n++ {
-			copy(out.Row(n)[t*H:(t+1)*H], ht.Row(n))
+			copy(s.out.Row(n)[t*H:(t+1)*H], ht.Row(n))
 		}
 	}
-	return out
+	return s.out
 }
 
 // Backward backpropagates dL/dh_T through time, accumulating weight
-// gradients and returning dL/dinput (batch × SeqLen·In).
+// gradients and returning dL/dinput (batch × SeqLen·In), a scratch
+// matrix valid until the next Backward call.
 func (l *LSTM) Backward(grad *Matrix) *Matrix {
-	if l.xs == nil {
+	s := &l.fwd
+	if s.xs == nil {
 		panic("nn: LSTM.Backward before Forward(train=true)")
 	}
 	batch, H := l.batch, l.Hidden
-	wx := &Matrix{Rows: l.In, Cols: 4 * H, Data: l.wx.W}
-	wh := &Matrix{Rows: H, Cols: 4 * H, Data: l.wh.W}
-
-	dx := NewMatrix(batch, l.InDim())
-	var dh *Matrix // dL/dh_t, updated as we walk back
+	wx, wh := &s.wx, &s.wh
+	l.dx = ensureMatrix(l.dx, batch, l.InDim())
+	l.dh = ensureMatrix(l.dh, batch, H) // dL/dh_t, updated as we walk back
 	if l.ReturnSeq {
-		dh = NewMatrix(batch, H)
+		clear(l.dh.Data)
 	} else {
-		dh = grad.Clone()
+		copy(l.dh.Data, grad.Data)
 	}
-	dc := NewMatrix(batch, H) // dL/dc_t carried across steps
+	l.dc = ensureMatrix(l.dc, batch, H) // dL/dc_t carried across steps
+	clear(l.dc.Data)
+	l.dcPrev = ensureMatrix(l.dcPrev, batch, H)
+	l.dz = ensureMatrix(l.dz, batch, 4*H)
+	l.dxt = ensureMatrix(l.dxt, batch, l.In)
+	dx, dh, dc, dcPrev, dz := l.dx, l.dh, l.dc, l.dcPrev, l.dz
 
 	for t := l.SeqLen - 1; t >= 0; t-- {
 		if l.ReturnSeq {
@@ -232,17 +254,13 @@ func (l *LSTM) Backward(grad *Matrix) *Matrix {
 				}
 			}
 		}
-		it, ft, gt, ot := l.is[t], l.fs[t], l.gs[t], l.os[t]
-		tc := l.tanhCs[t]
-		var cPrev *Matrix
+		it, ft, gt, ot := s.is[t], s.fs[t], s.gs[t], s.os[t]
+		tc := s.tanhCs[t]
+		cPrev := s.zero
 		if t > 0 {
-			cPrev = l.cs[t-1]
-		} else {
-			cPrev = NewMatrix(batch, H)
+			cPrev = s.cs[t-1]
 		}
 
-		dz := NewMatrix(batch, 4*H)
-		dcPrev := NewMatrix(batch, H)
 		for n := 0; n < batch; n++ {
 			dhr := dh.Row(n)
 			dcr := dc.Row(n)
@@ -274,21 +292,23 @@ func (l *LSTM) Backward(grad *Matrix) *Matrix {
 
 		// Parameter gradients, accumulated in place. h_{−1} is zero,
 		// so step 0 adds nothing to dWh.
-		MulTNAcc(l.wx.Grad, l.xs[t], dz)
+		MulTNAcc(l.wx.Grad, s.xs[t], dz)
 		if t > 0 {
-			MulTNAcc(l.wh.Grad, l.hs[t-1], dz)
+			MulTNAcc(l.wh.Grad, s.hs[t-1], dz)
 		}
 		colSumsAcc(l.b.Grad, dz)
 
 		// Input gradient for this timestep.
-		dxt := MulNT(dz, wx)
+		dxt := MulNTInto(l.dxt, dz, wx)
 		for n := 0; n < batch; n++ {
 			copy(dx.Row(n)[t*l.In:(t+1)*l.In], dxt.Row(n))
 		}
 
-		// Hidden gradient for the previous step.
-		dh = MulNT(dz, wh)
-		dc = dcPrev
+		// Hidden gradient for the previous step; step 0 has none.
+		if t > 0 {
+			MulNTInto(dh, dz, wh)
+		}
+		dc, dcPrev = dcPrev, dc
 	}
 	return dx
 }

@@ -334,45 +334,53 @@ func TestPredictOneMatchesBatch(t *testing.T) {
 
 // TestConcurrentInference: several goroutines may run Forward(x, false)
 // and Predict on one network at once (keyrec's LastRoundAttack does), so
-// plain inference must write no layer state. Under -race a shared write
-// fails the test; every answer must also match the serial one.
+// plain inference must write no layer state — in an MLP, and in a
+// stacked LSTM, whose training replicas keep their BPTT caches on the
+// layer. Under -race a shared write fails the test; every answer must
+// also match the serial one.
 func TestConcurrentInference(t *testing.T) {
 	r := prng.New(11)
-	net, err := MLP(32, []int{16, 16}, 2, ReLU, r)
+	mlp, err := MLP(32, []int{16, 16}, 2, ReLU, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randMatrix(r, 24, 32)
-	want := net.Forward(x, false)
-	wantPred := net.Predict(x)
-	const workers = 4
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				got := net.Forward(x, false)
-				for j, v := range got.Data {
-					if v != want.Data[j] {
-						errs <- fmt.Errorf("Forward output %d = %v, serial %v", j, v, want.Data[j])
-						return
-					}
-				}
-				for j, c := range net.Predict(x) {
-					if c != wantPred[j] {
-						errs <- fmt.Errorf("Predict row %d = %d, serial %d", j, c, wantPred[j])
-						return
-					}
-				}
-			}
-		}()
+	lstm, err := lstmStack(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, net := range []*Network{mlp, lstm} {
+		x := randMatrix(r, 24, net.InDim())
+		want := net.Forward(x, false)
+		wantPred := net.Predict(x)
+		const workers = 4
+		errs := make(chan error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					got := net.Forward(x, false)
+					for j, v := range got.Data {
+						if v != want.Data[j] {
+							errs <- fmt.Errorf("%s: Forward output %d = %v, serial %v", net.layers[0].Name(), j, v, want.Data[j])
+							return
+						}
+					}
+					for j, c := range net.Predict(x) {
+						if c != wantPred[j] {
+							errs <- fmt.Errorf("%s: Predict row %d = %d, serial %d", net.layers[0].Name(), j, c, wantPred[j])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
 }
 

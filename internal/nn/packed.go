@@ -13,10 +13,13 @@ import (
 //
 // A network whose first layer is Dense predicts and trains from packed
 // rows directly (see Dense.forwardBits and Network.FitBits): the first
-// layer's product becomes a sum of weight rows at the set bits, with
-// the same addition chain MulInto applies to the equivalent 0.0/1.0
-// float rows, so results are bit-identical to the float path. Other
-// networks expand the rows to floats first.
+// layer's output becomes the bias plus a sum of weight rows at the set
+// bits, and its weight gradient a sum of output-gradient rows at each
+// feature's samples, both summed in registers a tile of columns at a
+// time with the addition chains MulInto, AddRowVector and MulTNAcc
+// apply to the equivalent 0.0/1.0 float rows, so results are
+// bit-identical to the float path. Other networks expand the rows to
+// floats first.
 type BitMatrix struct {
 	Rows, Cols int
 	Data       []uint64
@@ -62,81 +65,86 @@ func (b *BitMatrix) expand(out *Matrix) *Matrix {
 	return out
 }
 
-// bitsMulRange writes rows [lo, hi) of x·W into out (which the caller
-// has zeroed): each output row is the sum of the weight rows at the
-// input row's set bits, taken in ascending feature order and in pairs
-// through addRows2. That is MulInto's chain for the 0.0/1.0 float row —
-// one rounding per nonzero k, ascending, and 1·w is exact — so the
-// result is bit-identical to the float product.
-func bitsMulRange(out *Matrix, x *BitMatrix, w *Matrix, lo, hi int) {
+// bitsMulRange writes rows [lo, hi) of x·W + b into out: each output
+// row is the bias plus the sum of the weight rows at the input row's
+// set bits. Every element is the chain ((+0 + W[k1]) + W[k2]) + … + b,
+// set bits ascending, that MulInto and AddRowVector give the 0.0/1.0
+// float row — one rounding per nonzero k, and 1·w is exact — so the
+// result is bit-identical to the float product. bitsMulAccel computes
+// the 4-aligned column prefix in registers; the rest, and all of it
+// when AVX2 is off, runs the chain in plain Go.
+func bitsMulRange(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int) {
 	m := w.Cols
+	c0 := bitsMulAccel(out, x, w, b, lo, hi)
+	if c0 == m {
+		return
+	}
 	words := x.Words()
 	tail := x.tailMask()
 	for i := lo; i < hi; i++ {
-		orow := out.Data[i*m : (i+1)*m]
-		row := x.Data[i*words : (i+1)*words]
-		var pend []float64
-		for wi, word := range row {
+		orow := out.Data[i*m+c0 : (i+1)*m]
+		clear(orow)
+		for wi, word := range x.Data[i*words : (i+1)*words] {
 			if wi == words-1 {
 				word &= tail
 			}
 			for ; word != 0; word &= word - 1 {
 				k := wi<<6 | bits.TrailingZeros64(word)
-				wrow := w.Data[k*m : (k+1)*m]
-				if pend == nil {
-					pend = wrow
-					continue
-				}
-				addRows2(orow, pend, wrow)
-				pend = nil
+				addRowsGo(orow, w.Data[k*m+c0:(k+1)*m])
 			}
 		}
-		if pend != nil {
-			addRows(orow, pend)
-		}
+		addRowsGo(orow, b[c0:])
 	}
+}
+
+// bitsMulParallel is bitsMulRange over every row of x, split across
+// goroutines as MulInto splits its rows. It is a function of its own
+// so that the closure it builds stays off the training path.
+func bitsMulParallel(out *Matrix, x *BitMatrix, w *Matrix, b []float64) {
+	parallelRows(x.Rows, x.Rows*w.Rows*w.Cols, func(lo, hi int) {
+		bitsMulRange(out, x, w, b, lo, hi)
+	})
 }
 
 // bitsMulTNAcc accumulates xᵀ·g into the flat Cols×g.Cols buffer acc —
 // a Dense layer's weight gradient for packed input: row k of acc gains
-// g's row n for every sample n with bit k set. Samples are taken in
-// ascending order, the chain MulTNAcc gives each element for the
-// equivalent float input, so the gradient is bit-identical.
+// g's row n for every sample n with bit k set. Each element takes its
+// samples in ascending order, continuing from the value acc holds: the
+// chain MulTNAcc gives it for the equivalent float input, so the
+// gradient is bit-identical. bitsMulTNAccel computes the 4-aligned
+// column prefix with the samples transposed into per-feature masks;
+// the rest, and all of it when AVX2 is off, runs sample by sample in
+// plain Go.
 func bitsMulTNAcc(acc []float64, x *BitMatrix, g *Matrix) {
 	if x.Rows != g.Rows || len(acc) != x.Cols*g.Cols {
 		panic(fmt.Sprintf("nn: packed MulTN shape mismatch %d×%d ᵀ· %d×%d into %d", x.Rows, x.Cols, g.Rows, g.Cols, len(acc)))
 	}
 	m := g.Cols
+	c0 := bitsMulTNAccel(acc, x, g)
+	if c0 == m {
+		return
+	}
 	words := x.Words()
 	tail := x.tailMask()
 	for n := 0; n < x.Rows; n++ {
-		grow := g.Data[n*m : (n+1)*m]
-		row := x.Data[n*words : (n+1)*words]
-		for wi, word := range row {
+		grow := g.Data[n*m+c0 : (n+1)*m]
+		for wi, word := range x.Data[n*words : (n+1)*words] {
 			if wi == words-1 {
 				word &= tail
 			}
 			for ; word != 0; word &= word - 1 {
 				k := wi<<6 | bits.TrailingZeros64(word)
-				addRows(acc[k*m:(k+1)*m], grow)
+				addRowsGo(acc[k*m+c0:(k+1)*m], grow)
 			}
 		}
 	}
 }
 
-// addRowsGo is addRows in plain Go.
+// addRowsGo adds b0 into o (o[j] += b0[j]), one rounding per element:
+// the plain-Go reference chain of both packed kernels.
 func addRowsGo(o, b0 []float64) {
 	b0 = b0[:len(o)]
 	for j := range o {
 		o[j] += b0[j]
-	}
-}
-
-// addRows2Go is addRows2 in plain Go.
-func addRows2Go(o, b0, b1 []float64) {
-	b0, b1 = b0[:len(o)], b1[:len(o)]
-	for j := range o {
-		t := o[j] + b0[j]
-		o[j] = t + b1[j]
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/prng"
@@ -83,46 +84,49 @@ func firstDiff(a, b []uint64) int {
 // TestFitBitsMatchesFit: training from packed rows must reproduce
 // training from the equivalent float rows bit for bit — History and
 // every weight — at input widths below, at and above one word, with
-// junk tail bits in the packed rows, for ReLU and LeakyReLU, at 1/4/7
-// workers, with the AVX2 kernels on and forced off. The 70-row set in
-// 16-row batches leaves a partial final batch with empty shards.
+// junk tail bits in the packed rows, for ReLU and LeakyReLU, with a
+// first layer of 24 units (narrow tiles) and of 128 (two full tiles),
+// at 1/4/7 workers, with the AVX2 kernels on and forced off. The 70-row
+// set in 16-row batches leaves a partial final batch with empty shards.
 func TestFitBitsMatchesFit(t *testing.T) {
 	for _, cols := range []int{13, 70, 128, 200} {
-		for _, act := range []ActKind{ReLU, LeakyReLU} {
-			r := prng.New(uint64(cols))
-			x, xb := randBits(r, 70, cols, cols%64 != 0)
-			y := parity(x)
-			train := func(workers int, packed bool) []uint64 {
-				net, err := MLP(cols, []int{24, 9}, 2, act, prng.New(7))
-				if err != nil {
-					t.Fatal(err)
+		for _, hidden := range [][]int{{24, 9}, {128, 9}} {
+			for _, act := range []ActKind{ReLU, LeakyReLU} {
+				r := prng.New(uint64(cols))
+				x, xb := randBits(r, 70, cols, cols%64 != 0)
+				y := parity(x)
+				train := func(workers int, packed bool) []uint64 {
+					net, err := MLP(cols, hidden, 2, act, prng.New(7))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := FitConfig{Epochs: 2, BatchSize: 16, Seed: 5, Workers: workers}
+					var h *History
+					if packed {
+						h, err = net.FitBits(xb, y, cfg)
+					} else {
+						h, err = net.Fit(x, y, cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return trainedBits(net, h)
 				}
-				cfg := FitConfig{Epochs: 2, BatchSize: 16, Seed: 5, Workers: workers}
-				var h *History
-				if packed {
-					h, err = net.FitBits(xb, y, cfg)
-				} else {
-					h, err = net.Fit(x, y, cfg)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return trainedBits(net, h)
-			}
-			ref := train(1, false)
-			for _, workers := range []int{1, 4, 7} {
-				for _, scalar := range []bool{false, true} {
-					for _, packed := range []bool{false, true} {
-						var got []uint64
-						run := func() { got = train(workers, packed) }
-						if scalar {
-							forceScalarMul(run)
-						} else {
-							run()
-						}
-						if i := firstDiff(got, ref); i >= 0 {
-							t.Fatalf("cols=%d %v workers=%d scalar=%v packed=%v: scalar %d differs from float serial training",
-								cols, act, workers, scalar, packed, i)
+				ref := train(1, false)
+				for _, workers := range []int{1, 4, 7} {
+					for _, scalar := range []bool{false, true} {
+						for _, packed := range []bool{false, true} {
+							var got []uint64
+							run := func() { got = train(workers, packed) }
+							if scalar {
+								forceScalarMul(run)
+							} else {
+								run()
+							}
+							if i := firstDiff(got, ref); i >= 0 {
+								t.Fatalf("cols=%d hidden=%v %v workers=%d scalar=%v packed=%v: scalar %d differs from float serial training",
+									cols, hidden, act, workers, scalar, packed, i)
+							}
 						}
 					}
 				}
@@ -134,40 +138,48 @@ func TestFitBitsMatchesFit(t *testing.T) {
 // TestDenseBitsKernelsMatchFloat: the packed first-layer forward
 // (serial in training, row-parallel in inference) and weight gradient
 // equal the float kernels to the last bit, including the sign of zero.
+// The output widths reach the narrow tile alone (4, 9, 33), one or more
+// full tiles (64, 128), and both with a plain-Go tail (70, 200); the
+// row counts fall on either side of the gradient's 64-sample block.
 func TestDenseBitsKernelsMatchFloat(t *testing.T) {
 	for _, cols := range []int{1, 63, 64, 65, 130} {
-		for _, out := range []int{1, 3, 4, 9, 33} {
-			r := prng.New(uint64(cols*100 + out))
-			x, xb := randBits(r, 97, cols, true)
-			d := NewDense(cols, out, r)
-			// Negative zeros in W and b: 0 + (−0) is +0, so a kernel
-			// that copied the first weight row instead of adding it to
-			// zero would keep a −0 the float product does not, and a −0
-			// bias keeps that sign through the bias add.
-			negZero := math.Copysign(0, -1)
-			for i := 0; i < len(d.w.W); i += 5 {
-				d.w.W[i] = negZero
-			}
-			for i := range d.b.W {
-				d.b.W[i] = negZero
-			}
-			g := randMatrix(r, 97, out)
-			for _, scalar := range []bool{false, true} {
-				run := func() {
-					what := fmt.Sprintf("cols=%d out=%d scalar=%v", cols, out, scalar)
-					want := d.Forward(x, false)
-					matricesBitIdentical(t, what+" forward", d.forwardBits(xb, false), want)
-					matricesBitIdentical(t, what+" training forward", d.forwardBits(xb, true), want)
-					wantG := randMatrix(r, cols, out)
-					gotG := wantG.Clone()
-					MulTNAcc(wantG.Data, x, g)
-					bitsMulTNAcc(gotG.Data, xb, g)
-					matricesBitIdentical(t, what+" weight gradient", gotG, wantG)
+		for _, out := range []int{1, 3, 4, 9, 33, 64, 70, 128, 200} {
+			for _, rows := range []int{64, 65, 97, 130} {
+				r := prng.New(uint64(cols*100 + out + rows<<16))
+				x, xb := randBits(r, rows, cols, true)
+				d := NewDense(cols, out, r)
+				// Negative zeros in W and b: 0 + (−0) is +0, so a kernel
+				// that copied the first weight row instead of adding it
+				// to zero would keep a −0 the float product does not,
+				// and a −0 bias keeps that sign through the bias add.
+				negZero := math.Copysign(0, -1)
+				for i := 0; i < len(d.w.W); i += 5 {
+					d.w.W[i] = negZero
 				}
-				if scalar {
-					forceScalarMul(run)
-				} else {
-					run()
+				for i := range d.b.W {
+					d.b.W[i] = negZero
+				}
+				g := randMatrix(r, rows, out)
+				for _, scalar := range []bool{false, true} {
+					run := func() {
+						what := fmt.Sprintf("cols=%d out=%d rows=%d scalar=%v", cols, out, rows, scalar)
+						want := d.Forward(x, false)
+						matricesBitIdentical(t, what+" forward", d.forwardBits(xb, false), want)
+						matricesBitIdentical(t, what+" training forward", d.forwardBits(xb, true), want)
+						wantG := randMatrix(r, cols, out)
+						for i := 0; i < len(wantG.Data); i += 7 {
+							wantG.Data[i] = negZero
+						}
+						gotG := wantG.Clone()
+						MulTNAcc(wantG.Data, x, g)
+						bitsMulTNAcc(gotG.Data, xb, g)
+						matricesBitIdentical(t, what+" weight gradient", gotG, wantG)
+					}
+					if scalar {
+						forceScalarMul(run)
+					} else {
+						run()
+					}
 				}
 			}
 		}
@@ -262,4 +274,44 @@ func TestFitSkipsFirstLayerInputGradient(t *testing.T) {
 			t.Fatalf("%s: the network's own layer 0 ran a training pass", name)
 		}
 	}
+}
+
+// BenchmarkDenseBits times the packed first layer's kernels on one
+// goroutine, on random half-dense rows of 128 features: the forward
+// pass as a training shard runs it, at 16 rows and at 2 048 rows, and
+// the weight gradient of a 16-row shard. Each runs at the production
+// width of 128 outputs and at 70, whose last columns take the narrow
+// tile and the plain-Go tail. ns/setbit is the time per set input bit,
+// each of which adds one row of 128 or 70 doubles.
+func BenchmarkDenseBits(b *testing.B) {
+	for _, out := range []int{128, 70} {
+		r := prng.New(uint64(out))
+		d := NewDense(128, out, r)
+		for _, rows := range []int{16, 2048} {
+			_, xb := randBits(r, rows, 128, false)
+			b.Run(fmt.Sprintf("forward/out=%d/rows=%d", out, rows), func(b *testing.B) {
+				benchSetBits(b, xb, func() { d.forwardBits(xb, true) })
+			})
+		}
+		_, xb := randBits(r, 16, 128, false)
+		g := randMatrix(r, 16, out)
+		acc := make([]float64, 128*out)
+		b.Run(fmt.Sprintf("gradient/out=%d/rows=16", out), func(b *testing.B) {
+			benchSetBits(b, xb, func() { bitsMulTNAcc(acc, xb, g) })
+		})
+	}
+}
+
+// benchSetBits runs fn b.N times and reports the time per set bit of x.
+func benchSetBits(b *testing.B, x *BitMatrix, fn func()) {
+	set := 0
+	for _, w := range x.Data {
+		set += bits.OnesCount64(w)
+	}
+	fn()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*set), "ns/setbit")
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -62,12 +61,23 @@ type netFactory struct {
 	build func() *nn.Network
 }
 
-// fitFactories are the layer families whose training step allocates
-// nothing.
+// fitFactories are the layer families the engine trains, each of
+// whose training steps allocates nothing: MLPs with a first layer of 16
+// units (the packed first layer's narrow tiles) and of 128 (its full
+// tiles), a CNN, a Dense first layer ahead of an LSTM, and Table 3's
+// LSTM(ReturnSeq) → LSTM → Dense shape.
 var fitFactories = []netFactory{
 	{"mlp-leaky", func() *nn.Network {
 		r := prng.New(42)
 		net, err := nn.MLP(12, []int{16, 8}, 2, nn.LeakyReLU, r)
+		if err != nil {
+			panic(err)
+		}
+		return net
+	}},
+	{"mlp128", func() *nn.Network {
+		r := prng.New(47)
+		net, err := nn.MLP(12, []int{128}, 2, nn.ReLU, r)
 		if err != nil {
 			panic(err)
 		}
@@ -86,13 +96,6 @@ var fitFactories = []netFactory{
 		}
 		return net
 	}},
-}
-
-// lstmFactories are the LSTM networks: Dense → LSTM → Dense, and
-// Table 3's LSTM(ReturnSeq) → LSTM → Dense shape. An LSTM replica
-// allocates its BPTT caches every step, so these stay out of
-// TestFitShardedSteadyStateAllocs.
-var lstmFactories = []netFactory{
 	{"dense-lstm", func() *nn.Network {
 		r := prng.New(45)
 		net, err := nn.NewNetwork(nn.NewDense(12, 8, r), nn.NewLSTM(2, 4, 4, r), nn.NewDense(4, 2, r))
@@ -135,7 +138,7 @@ func trainWith(t *testing.T, build func() *nn.Network, workers int) (*nn.Network
 // weights and per-epoch history must match serial training bit for bit
 // at every worker count, for every layer family, the LSTM included.
 func TestFitParallelByteIdentical(t *testing.T) {
-	for _, nf := range slices.Concat(fitFactories, lstmFactories) {
+	for _, nf := range fitFactories {
 		t.Run(nf.name, func(t *testing.T) {
 			refNet, refHist := trainWith(t, nf.build, 1)
 			ref := paramBits(refNet)
@@ -352,31 +355,46 @@ func rowsOf(m *nn.Matrix, lo, hi int) [][]float64 {
 // TestFitShardedSteadyStateAllocs: after the first Fit call has built
 // the engine and scratch, further Fit calls allocate only the
 // per-call bookkeeping (order slice, history, PRNG) — nothing per step,
-// for every layer family but the LSTM.
+// for every layer family. The bits/ cases train through FitBits, where
+// a Dense first layer runs the packed kernels.
 func TestFitShardedSteadyStateAllocs(t *testing.T) {
 	x, y := synthData(prng.New(8), 256, 12)
-	for _, nf := range fitFactories {
-		t.Run(nf.name, func(t *testing.T) {
-			net := nf.build()
-			// A persistent optimizer is part of the steady state: its
-			// moment slices are keyed by parameter identity and reused
-			// across calls.
-			cfg := nn.FitConfig{Epochs: 1, BatchSize: 32, Seed: 3, Workers: 1, Optimizer: nn.NewAdam(0)}
-			if _, err := net.Fit(x, y, cfg); err != nil {
-				t.Fatal(err)
+	xb := packRows(x)
+	for _, packed := range []bool{false, true} {
+		for _, nf := range fitFactories {
+			name := nf.name
+			if packed {
+				name = "bits/" + name
 			}
-			steps := 8.0 // 256 rows / batch 32
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := net.Fit(x, y, cfg); err != nil {
-					t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				net := nf.build()
+				// A persistent optimizer is part of the steady state:
+				// its moment slices are keyed by parameter identity and
+				// reused across calls.
+				cfg := nn.FitConfig{Epochs: 1, BatchSize: 32, Seed: 3, Workers: 1, Optimizer: nn.NewAdam(0)}
+				fit := func() {
+					var err error
+					if packed {
+						_, err = net.FitBits(xb, y, cfg)
+					} else {
+						_, err = net.Fit(x, y, cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				fit()
+				steps := 8.0 // 256 rows / batch 32
+				allocs := testing.AllocsPerRun(5, fit)
+				// Per-call bookkeeping (shuffle order, History, PRNG,
+				// and the float expansion FitBits makes for a network
+				// without a Dense first layer) is allowed; nothing may
+				// allocate per training step.
+				if perStep := allocs / steps; perStep > 1 {
+					t.Fatalf("steady-state training allocated %.1f objects over %v steps (%.2f/step); want ≤ 1/step", allocs, steps, perStep)
 				}
 			})
-			// Per-call bookkeeping (shuffle order, History, PRNG) is
-			// allowed; nothing may allocate per training step.
-			if perStep := allocs / steps; perStep > 1 {
-				t.Fatalf("steady-state Fit allocated %.1f objects over %v steps (%.2f/step); want ≤ 1/step", allocs, steps, perStep)
-			}
-		})
+		}
 	}
 }
 
@@ -412,8 +430,7 @@ func TestFitReleasesWorkers(t *testing.T) {
 // rows packed, which trains the first layer on the packed engine.
 // Steady state reuses the cached engine, so allocs/op stays at the
 // per-call bookkeeping floor. The lstm sub-benchmarks train an LSTM
-// over the same rows as 16 timesteps of 8 bits, whose replicas
-// allocate their BPTT caches every step.
+// over the same rows as 16 timesteps of 8 bits.
 func BenchmarkFit(b *testing.B) {
 	x, y := synthData(prng.New(3), 1024, 128)
 	xb := packRows(x)

@@ -63,7 +63,8 @@ trap 'rm -f "$TMP"' EXIT
 
 # Root package: dataset generation, batched inference, the online phase
 # (BenchmarkOracleGameOnline), matrix kernels.
-# internal/nn: the training engine (BenchmarkFit) and kernel micro-benchmarks.
+# internal/nn: the training engine (BenchmarkFit), the packed first layer's
+# kernels (BenchmarkDenseBits) and kernel micro-benchmarks.
 # internal/prng: the vectorized positional draw kernels feeding the
 # sliced dataset path (BenchmarkSeedStream, BenchmarkDrawBatch).
 # internal/gimli + internal/speck + internal/simon + internal/simeck +
@@ -77,7 +78,7 @@ trap 'rm -f "$TMP"' EXIT
 go test . ./internal/nn/ ./internal/prng/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
     ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ ./internal/serve/ \
     ./internal/ledger/ ./internal/cluster/ -run '^$' \
-    -bench 'Fit|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
+    -bench 'Fit|DenseBits|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.
