@@ -18,14 +18,20 @@
 //
 // Endpoints (replica mode; the router proxies the same API):
 //
-//	POST /v1/classify     {"model":"speck5","rows":[[0,1,...],...]} → predicted classes
-//	POST /v1/distinguish  {"model":"speck5","rows":[...],"labels":[0,1,...]} → CIPHER/RANDOM verdict
+//	POST /v1/classify     {"model":"speck5","hex":["00e08c1a",...]} → predicted classes
+//	POST /v1/distinguish  {"model":"speck5","hex":[...],"labels":[0,1,...]} → CIPHER/RANDOM verdict
 //	GET  /models          list loaded models
 //	POST /models          {"name":"x","path":"x.gob"} hot-(re)load a model
 //	GET  /metrics         request counts, batch-size histogram, queue depth, p50/p99 latency
 //	GET  /healthz         liveness
 //	GET  /ledger/anchor   audit-chain head (with -ledger)
 //	GET  /ledger/proof    ?seq=N inclusion proof, verifiable offline by ledgerverify
+//
+// Both inference endpoints take the feature rows either as "hex"
+// strings (bits.Hex of the little-endian feature bytes) or as "rows" of
+// numbers, each 0 or 1: {"model":"speck5","rows":[[0,1,...],...]}. The
+// body must be one JSON object with no keys beyond model, rows, hex,
+// labels and sigmas, each at most once.
 //
 // Router-only endpoints:
 //

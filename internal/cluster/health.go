@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -59,6 +60,9 @@ func (rt *Router) probeAll() {
 				rt.noteFailure(addr)
 				return
 			}
+			// Read the body out so the transport keeps the connection:
+			// closed unread, it is discarded, and every probe dials anew.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				rt.noteFailure(addr)

@@ -12,11 +12,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/serve"
 )
-
-// maxBody bounds request bodies the router will buffer for routing and
-// retries (rows for one max-size batch fit comfortably).
-const maxBody = 16 << 20
 
 // Config shapes a Router. Zero values select the defaults documented
 // on each field.
@@ -216,31 +213,26 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // handleForward proxies a classify/distinguish request to an alive
-// owner of the model named in the body. The body is buffered so a
-// connection error to one owner retries the next ring successor with
-// the identical bytes — this is what keeps in-flight requests at zero
-// failures when a replica is killed: the successor already owns the
-// model (replication ≥ 2), so the retry lands on warm weights.
+// owner of the model named in the body. The body is read and checked
+// with the replicas' own decoder (serve.ReadRequest), so a body a
+// replica would refuse before looking up its model gets the same 413
+// or 400 here. The body is buffered so a connection error to one owner
+// retries the next ring successor with the identical bytes — this is
+// what keeps in-flight requests at zero failures when a replica is
+// killed: the successor already owns the model (replication ≥ 2), so
+// the retry lands on warm weights.
 func (rt *Router) handleForward(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
+	body, model, ok := serve.ReadRequest(w, r)
+	if !ok {
 		return
 	}
-	var peek struct {
-		Model string `json:"model"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if peek.Model == "" {
+	if model == "" {
 		writeError(w, http.StatusBadRequest, "model must be set")
 		return
 	}
-	owners := rt.owners(peek.Model)
+	owners := rt.owners(model)
 	if len(owners) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no alive replica owns model %q", peek.Model)
+		writeError(w, http.StatusServiceUnavailable, "no alive replica owns model %q", model)
 		return
 	}
 	for i, addr := range owners {
@@ -258,7 +250,7 @@ func (rt *Router) handleForward(w http.ResponseWriter, r *http.Request) {
 		copyResponse(w, resp, addr)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "all %d owner(s) of model %q unreachable", len(owners), peek.Model)
+	writeError(w, http.StatusServiceUnavailable, "all %d owner(s) of model %q unreachable", len(owners), model)
 }
 
 // copyResponse relays a replica response, stamping which replica

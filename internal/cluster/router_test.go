@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -543,8 +547,10 @@ func TestRouterErrorPaths(t *testing.T) {
 		{"POST", "/models", `{"name":"x"}`, http.StatusBadRequest},
 		{"POST", "/models", `{"name":"x","path":"/no/such/file.gob"}`, http.StatusBadGateway},
 		{"POST", "/v1/classify", "{not json", http.StatusBadRequest},
-		{"POST", "/v1/classify", `{"rows":[[0]]}`, http.StatusBadRequest},               // no model name
-		{"POST", "/v1/classify", `{"model":"ghost","rows":[[0]]}`, http.StatusNotFound}, // replica 404 passes through
+		{"POST", "/v1/classify", `{"rows":[[0]]}`, http.StatusBadRequest},                           // no model name
+		{"POST", "/v1/classify", `{"model":"ghost","rows":[[0]]}`, http.StatusNotFound},             // replica 404 passes through
+		{"POST", "/v1/classify", `{"model":"ghost","rows":[[0]],"extra":1}`, http.StatusBadRequest}, // unknown key, as a replica answers
+		{"POST", "/v1/classify", `{"model":"ghost","rows":[[0`, http.StatusBadRequest},              // truncated body
 		{"DELETE", "/models/ghost2", "", http.StatusNotFound},
 	} {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -579,6 +585,47 @@ func TestRouterErrorPaths(t *testing.T) {
 	// NewRouter without replicas is refused.
 	if _, err := NewRouter(Config{}); err == nil {
 		t.Fatal("NewRouter accepted an empty replica set")
+	}
+}
+
+// TestRouterBodyReadError: a body that breaks off mid-read, as when
+// the client disconnects, is a 400 as at a replica, not a 413.
+func TestRouterBodyReadError(t *testing.T) {
+	rt, _ := newCluster(t, 1, nil)
+	body := io.MultiReader(strings.NewReader(`{"model":"speck4","rows":[[0`), iotest.ErrReader(io.ErrUnexpectedEOF))
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", body))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("broken body = %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestProbeReusesConnection: health probes read each /healthz answer
+// out, so the router's transport keeps one connection per replica
+// instead of dialing a new one every probe round.
+func TestProbeReusesConnection(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	var dials atomic.Int32
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	rt, err := NewRouter(Config{Replicas: []string{ts.URL}, Client: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		rt.tick()
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("5 probe rounds opened %d connections to the replica, want 1", n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bits"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 )
@@ -30,8 +31,8 @@ type SchedulerConfig struct {
 	// request in a batch pays, at most, for throughput.
 	MaxDelay time.Duration
 	// Workers is the inference worker count (default 2). Each worker
-	// owns one scratch input matrix and one Predictor replica per
-	// model, so the steady state performs no per-batch allocation.
+	// owns one packed scratch input and one Predictor replica per
+	// model, so the steady state allocates only each task's reply.
 	Workers int
 	// QueueDepth bounds the submitted-but-unscheduled request count
 	// (default 256). A full queue sheds new requests with
@@ -54,12 +55,12 @@ func (c *SchedulerConfig) setDefaults() {
 	}
 }
 
-// task is one submitted classification request: rows for one model,
-// and a buffered reply channel so a worker can always complete it
-// without blocking, even if the submitter timed out and left.
+// task is one submitted classification request: packed rows for one
+// model, and a buffered reply channel so a worker can always complete
+// it without blocking, even if the submitter timed out and left.
 type task struct {
 	entry *Entry
-	rows  [][]float64
+	rows  *nn.BitMatrix
 	ctx   context.Context
 	out   chan taskResult
 }
@@ -138,11 +139,8 @@ func (s *Scheduler) QueueLen() int { return len(s.queue) }
 // MaxBatch reports the configured flush threshold.
 func (s *Scheduler) MaxBatch() int { return s.cfg.MaxBatch }
 
-// Submit enqueues rows for entry and blocks until a worker replies or
-// ctx is done. Rows must already be validated to entry.FeatureLen()
-// width. It returns ErrOverloaded when the queue is full and
-// ctx.Err() when the deadline expires first; the batch still executes
-// in that case, its result discarded.
+// Submit is SubmitBits for float rows: it packs them, refusing rows
+// of unequal length and values other than 0 or 1.
 func (s *Scheduler) Submit(ctx context.Context, entry *Entry, rows [][]float64) ([]int, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -150,7 +148,46 @@ func (s *Scheduler) Submit(ctx context.Context, entry *Entry, rows [][]float64) 
 	if len(rows) > s.cfg.MaxBatch {
 		return nil, fmt.Errorf("serve: request has %d rows, max %d per request", len(rows), s.cfg.MaxBatch)
 	}
-	t := &task{entry: entry, rows: rows, ctx: ctx, out: make(chan taskResult, 1)}
+	cols := len(rows[0])
+	x := &nn.BitMatrix{Rows: len(rows), Cols: cols, Data: make([]uint64, len(rows)*bits.PackedWords(cols))}
+	for i, row := range rows {
+		if len(row) != cols {
+			return nil, fmt.Errorf("serve: row %d has %d values, row 0 has %d", i, len(row), cols)
+		}
+		words := x.Row(i)
+		for k := range words {
+			// One pass with no branch on the bit: a branch would
+			// mispredict on about half the values of a random row.
+			var w uint64
+			for j, v := range row[64*k : min(64*k+64, cols)] {
+				b := int64(v)
+				if b>>1 != 0 || float64(b) != v {
+					return nil, fmt.Errorf("serve: row %d value %d is %v, want 0 or 1", i, 64*k+j, v)
+				}
+				w |= uint64(b) << j
+			}
+			words[k] = w
+		}
+	}
+	return s.SubmitBits(ctx, entry, x)
+}
+
+// SubmitBits enqueues packed rows for entry and blocks until a worker
+// replies or ctx is done. The rows must have entry.FeatureLen()
+// columns, and are not modified. It returns ErrOverloaded when the
+// queue is full and ctx.Err() when the deadline expires first; the
+// batch still executes in that case, its result discarded.
+func (s *Scheduler) SubmitBits(ctx context.Context, entry *Entry, x *nn.BitMatrix) ([]int, error) {
+	if x.Rows == 0 {
+		return nil, nil
+	}
+	if x.Rows > s.cfg.MaxBatch {
+		return nil, fmt.Errorf("serve: request has %d rows, max %d per request", x.Rows, s.cfg.MaxBatch)
+	}
+	if x.Rows < 0 || x.Cols < 0 || len(x.Data) != x.Rows*x.Words() {
+		return nil, fmt.Errorf("serve: %d×%d rows packed in %d words", x.Rows, x.Cols, len(x.Data))
+	}
+	t := &task{entry: entry, rows: x, ctx: ctx, out: make(chan taskResult, 1)}
 
 	s.stopMu.RLock()
 	if s.stopping {
@@ -162,7 +199,7 @@ func (s *Scheduler) Submit(ctx context.Context, entry *Entry, rows [][]float64) 
 	case s.queue <- t:
 		s.stopMu.RUnlock()
 		s.ModelRequests.With(entry.Name).Inc()
-		s.ModelRows.With(entry.Name).Add(uint64(len(rows)))
+		s.ModelRows.With(entry.Name).Add(uint64(x.Rows))
 	default:
 		s.inflight.Done()
 		s.stopMu.RUnlock()
@@ -208,7 +245,7 @@ func (s *Scheduler) dispatch() {
 			return
 		}
 		batch := []*task{t}
-		rows := len(t.rows)
+		rows := t.rows.Rows
 		if timer == nil {
 			timer = time.NewTimer(s.cfg.MaxDelay)
 		} else {
@@ -224,7 +261,7 @@ func (s *Scheduler) dispatch() {
 					break collect
 				}
 				batch = append(batch, t2)
-				rows += len(t2.rows)
+				rows += t2.rows.Rows
 			case <-timer.C:
 				break collect
 			}
@@ -244,33 +281,31 @@ func (s *Scheduler) dispatch() {
 }
 
 // inferState is one worker's per-model scratch: a Predictor replica
-// over the entry's network plus a reusable input matrix and output
+// over the entry's network plus a reusable packed input and output
 // slice, mirroring NNClassifier's zero-allocation prediction
 // discipline but private to the worker so workers never contend.
 type inferState struct {
 	net  *nn.Network
 	pred *nn.Predictor
-	in   *nn.Matrix
+	in   nn.BitMatrix
 	out  []int
 }
 
-// ensure points the scratch matrix at an n×cols view, reusing its
-// backing array once the largest batch shape has been seen, and
+// ensure shapes the scratch input to n rows of cols features, reusing
+// its backing array once the largest batch shape has been seen, and
 // rebuilds the Predictor replica when the entry's network was swapped
 // by a hot reload.
-func (st *inferState) ensure(net *nn.Network, n, cols int) *nn.Matrix {
+func (st *inferState) ensure(net *nn.Network, n, cols int) *nn.BitMatrix {
 	if st.net != net {
 		st.net = net
 		st.pred = net.NewPredictor()
-		st.in = nil
 	}
-	if st.in == nil || cap(st.in.Data) < n*cols {
-		st.in = nn.NewMatrix(n, cols)
-	} else {
-		st.in.Rows, st.in.Cols = n, cols
-		st.in.Data = st.in.Data[:n*cols]
+	words := n * bits.PackedWords(cols)
+	if cap(st.in.Data) < words {
+		st.in.Data = make([]uint64, words)
 	}
-	return st.in
+	st.in.Rows, st.in.Cols, st.in.Data = n, cols, st.in.Data[:words]
+	return &st.in
 }
 
 // worker executes batches: tasks are grouped by model entry in
@@ -303,16 +338,21 @@ func (s *Scheduler) worker() {
 // runGroup executes one same-model group as a single batched forward
 // pass.
 func (s *Scheduler) runGroup(states map[string]*inferState, entry *Entry, group []*task) {
+	cols := entry.FeatureLen()
 	live := group[:0]
 	rows := 0
 	for _, t := range group {
-		if err := t.ctx.Err(); err != nil {
+		err := t.ctx.Err()
+		if err == nil && t.rows.Cols != cols {
+			err = fmt.Errorf("serve: rows have %d features, model %q wants %d", t.rows.Cols, entry.Name, cols)
+		}
+		if err != nil {
 			t.out <- taskResult{err: err}
 			s.inflight.Done()
 			continue
 		}
 		live = append(live, t)
-		rows += len(t.rows)
+		rows += t.rows.Rows
 	}
 	if rows == 0 {
 		return
@@ -322,23 +362,19 @@ func (s *Scheduler) runGroup(states map[string]*inferState, entry *Entry, group 
 		st = &inferState{}
 		states[entry.Name] = st
 	}
-	cols := entry.FeatureLen()
 	in := st.ensure(entry.net, rows, cols)
-	i := 0
+	off := 0
 	for _, t := range live {
-		for _, r := range t.rows {
-			copy(in.Data[i*cols:(i+1)*cols], r)
-			i++
-		}
+		off += copy(in.Data[off:], t.rows.Data)
 	}
-	st.out = st.pred.PredictInto(st.out, in)
+	st.out = st.pred.PredictBitsInto(st.out, in)
 	classes := st.out
 	s.Batches.Inc()
 	s.BatchSizes.Observe(uint64(rows))
 	s.ModelBatches.With(entry.Name).Inc()
-	off := 0
+	off = 0
 	for _, t := range live {
-		n := len(t.rows)
+		n := t.rows.Rows
 		out := make([]int, n)
 		copy(out, classes[off:off+n])
 		off += n

@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bits"
+	"repro/internal/nn"
 )
 
 // rowToHex packs a {0,1} float row into the hex encoding the API
@@ -225,5 +228,64 @@ func BenchmarkServeClassify(b *testing.B) {
 	b.StopTimer()
 	if srv.sched.Batches.Value() == 0 {
 		b.Fatal("no batches recorded")
+	}
+}
+
+// TestSubmitPacksFloatRows: Submit packs float rows for SubmitBits,
+// refusing rows of unequal length and values other than 0 or 1 before
+// anything is queued.
+func TestSubmitPacksFloatRows(t *testing.T) {
+	s := newScheduler(SchedulerConfig{MaxBatch: 4})
+	for name, rows := range map[string][][]float64{
+		"ragged": {{0, 1}, {1}},
+		"0.5":    {{0, 0.5}},
+		"-1":     {{-1, 0}},
+		"2":      {{1, 2}},
+		"NaN":    {{math.NaN()}},
+	} {
+		if _, err := s.Submit(context.Background(), &Entry{}, rows); err == nil {
+			t.Errorf("%s rows accepted", name)
+		}
+	}
+	if s.QueueLen() != 0 {
+		t.Fatalf("refused rows were queued")
+	}
+}
+
+// TestSubmitBitsValidation: malformed packed rows are refused before
+// they are queued, and rows of the wrong width for the model are
+// answered with an error instead of reaching a forward pass.
+func TestSubmitBitsValidation(t *testing.T) {
+	srv := New(Config{Scheduler: SchedulerConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	defer srv.Close()
+	entry, err := srv.Registry().Load("speck4", modelPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := srv.sched.SubmitBits(ctx, entry, &nn.BitMatrix{Rows: 2, Cols: 32, Data: make([]uint64, 1)}); err == nil {
+		t.Fatal("2 rows in 1 word accepted")
+	}
+	if _, err := srv.sched.SubmitBits(ctx, entry, &nn.BitMatrix{Rows: 5, Cols: 32, Data: make([]uint64, 5)}); err == nil {
+		t.Fatal("oversize submit accepted")
+	}
+	if _, err := srv.sched.SubmitBits(ctx, entry, &nn.BitMatrix{Rows: 1, Cols: 31, Data: make([]uint64, 1)}); err == nil {
+		t.Fatal("31-feature rows for a 32-feature model accepted")
+	}
+	if s := srv.sched.BatchSizes.Snapshot(); s.Count != 0 {
+		t.Fatalf("refused rows reached %d forward passes", s.Count)
+	}
+	d := offline(t)
+	rows, _ := sampleRows(d, 3, 3)
+	x := &nn.BitMatrix{Rows: 3, Cols: 32, Data: make([]uint64, 3)}
+	for i, row := range rows {
+		bits.PackFloats(x.Row(i), row)
+	}
+	classes, err := srv.sched.SubmitBits(ctx, entry, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := d.Classifier.PredictBatch(rows); !slices.Equal(classes, want) {
+		t.Fatalf("packed classes %v, offline PredictBatch %v", classes, want)
 	}
 }

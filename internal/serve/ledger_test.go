@@ -157,7 +157,11 @@ func TestLedgerProofErrors(t *testing.T) {
 	for path, want := range map[string]int{
 		"/ledger/proof":        http.StatusBadRequest, // no seq
 		"/ledger/proof?seq=xx": http.StatusBadRequest,
-		"/ledger/proof?seq=99": http.StatusNotFound,
+		// Only a whole decimal number names a record.
+		"/ledger/proof?seq=12abc": http.StatusBadRequest,
+		"/ledger/proof?seq=0x10":  http.StatusBadRequest,
+		"/ledger/proof?seq=3%204": http.StatusBadRequest,
+		"/ledger/proof?seq=99":    http.StatusNotFound,
 	} {
 		resp, _ := getURL(t, ts.URL+path)
 		if resp.StatusCode != want {

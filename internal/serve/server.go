@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/bits"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/stats"
 )
 
@@ -151,22 +152,6 @@ func (s *Server) Close() { s.sched.Stop() }
 
 // --- request/response shapes ---
 
-// classifyRequest is the body of /v1/classify and /v1/distinguish.
-// Feature rows arrive either as float rows (JSON arrays of 0/1) or as
-// hex strings packing the feature bits in the repository's
-// little-endian bit order (bits.Hex of the feature bytes); exactly one
-// of the two must be set.
-type classifyRequest struct {
-	Model string      `json:"model"`
-	Rows  [][]float64 `json:"rows,omitempty"`
-	Hex   []string    `json:"hex,omitempty"`
-	// Labels (distinguish only): the class index each query was made
-	// with, cycling the scenario's t classes as in Algorithm 2.
-	Labels []int `json:"labels,omitempty"`
-	// Sigmas (distinguish only) is the decision threshold (default 3).
-	Sigmas float64 `json:"sigmas,omitempty"`
-}
-
 type classifyResponse struct {
 	Model   string `json:"model"`
 	Version int    `json:"version"`
@@ -201,12 +186,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBody bounds request bodies, the same 16 MiB cap the cluster
-// router applies. Replicas are directly reachable, so they enforce it
-// themselves rather than trusting a router in front.
-const maxBody = 16 << 20
-
-// decodeBody decodes the JSON request body into v, reading at most
+// decodeBody decodes a JSON request body other than a classify or
+// distinguish request (see decode.go for those) into v, reading at most
 // maxBody bytes. On error it writes the response itself — 413 for an
 // oversized body, 400 for anything else — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -225,64 +206,29 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // --- handlers ---
 
-// decodeRows parses and validates the request body, resolves the
-// model, and returns the feature rows at the model's width. On error
-// it writes the response itself and returns ok=false.
-func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *classifyRequest, [][]float64, bool) {
-	var req classifyRequest
-	if !decodeBody(w, r, &req) {
-		return nil, nil, nil, false
+// decodeRows reads, decodes and validates a classify or distinguish
+// body (see request.validate for the order of the checks) and returns
+// the model and the request with its rows packed. On error it writes
+// the response itself and returns ok=false.
+func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request, distinguish bool) (*Entry, *request, bool) {
+	q, err := readRequest(w, r, s.sched.MaxBatch())
+	var entry *Entry
+	if err == nil {
+		entry, err = q.validate(s.reg.Get, s.sched.MaxBatch(), distinguish)
 	}
-	entry, ok := s.reg.Get(req.Model)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown model %q (GET /models lists loaded models)", req.Model)
-		return nil, nil, nil, false
+	if err != nil {
+		writeErr(w, err)
+		return nil, nil, false
 	}
-	if (len(req.Rows) == 0) == (len(req.Hex) == 0) {
-		writeError(w, http.StatusBadRequest, "exactly one of rows or hex must be non-empty")
-		return nil, nil, nil, false
-	}
-	if n := len(req.Rows) + len(req.Hex); n > s.sched.MaxBatch() {
-		writeError(w, http.StatusRequestEntityTooLarge, "request has %d rows, max %d per request (split the batch)",
-			n, s.sched.MaxBatch())
-		return nil, nil, nil, false
-	}
-	featLen := entry.FeatureLen()
-	rows := req.Rows
-	if len(req.Hex) > 0 {
-		rows = make([][]float64, len(req.Hex))
-		wantBytes := (featLen + 7) / 8
-		for i, h := range req.Hex {
-			b, err := bits.FromHex(h)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "hex row %d: %v", i, err)
-				return nil, nil, nil, false
-			}
-			if len(b) != wantBytes {
-				writeError(w, http.StatusBadRequest, "hex row %d has %d bytes, want %d (%d feature bits)",
-					i, len(b), wantBytes, featLen)
-				return nil, nil, nil, false
-			}
-			rows[i] = bits.ToFloats(make([]float64, 0, len(b)*8), b)[:featLen]
-		}
-	} else {
-		for i, row := range rows {
-			if len(row) != featLen {
-				writeError(w, http.StatusBadRequest, "row %d has %d features, model %q wants %d",
-					i, len(row), req.Model, featLen)
-				return nil, nil, nil, false
-			}
-		}
-	}
-	return entry, &req, rows, true
+	return entry, q, true
 }
 
 // submit routes rows through the scheduler and maps the failure modes
 // onto HTTP codes. On error it writes the response itself.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, entry *Entry, rows [][]float64) ([]int, bool) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, entry *Entry, x *nn.BitMatrix) ([]int, bool) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	classes, err := s.sched.Submit(ctx, entry, rows)
+	classes, err := s.sched.SubmitBits(ctx, entry, x)
 	switch {
 	case err == nil:
 		return classes, true
@@ -305,11 +251,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, entry *Entry, ro
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.requests["classify"].Inc()
 	started := time.Now()
-	entry, _, rows, ok := s.decodeRows(w, r)
+	entry, q, ok := s.decodeRows(w, r, false)
 	if !ok {
 		return
 	}
-	classes, ok := s.submit(w, r, entry, rows)
+	classes, ok := s.submit(w, r, entry, &q.x)
 	if !ok {
 		return
 	}
@@ -329,31 +275,20 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDistinguish(w http.ResponseWriter, r *http.Request) {
 	s.requests["distinguish"].Inc()
 	started := time.Now()
-	entry, req, rows, ok := s.decodeRows(w, r)
+	entry, q, ok := s.decodeRows(w, r, true)
 	if !ok {
 		return
 	}
-	if len(req.Labels) != len(rows) {
-		writeError(w, http.StatusBadRequest, "%d labels for %d rows", len(req.Labels), len(rows))
-		return
-	}
-	t := entry.Classes()
-	for i, l := range req.Labels {
-		if l < 0 || l >= t {
-			writeError(w, http.StatusBadRequest, "label %d is %d, model %q has %d classes", i, l, entry.Name, t)
-			return
-		}
-	}
-	sigmas := req.Sigmas
+	sigmas := q.sigmas
 	if sigmas <= 0 {
 		sigmas = 3
 	}
-	classes, ok := s.submit(w, r, entry, rows)
+	classes, ok := s.submit(w, r, entry, &q.x)
 	if !ok {
 		return
 	}
-	aPrime := stats.Accuracy(classes, req.Labels)
-	verdict, err := stats.Decide(entry.Dist.Accuracy, t, aPrime, len(rows), sigmas)
+	aPrime := stats.Accuracy(classes, q.labels)
+	verdict, err := stats.Decide(entry.Dist.Accuracy, entry.Classes(), aPrime, q.x.Rows, sigmas)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -367,7 +302,7 @@ func (s *Server) handleDistinguish(w http.ResponseWriter, r *http.Request) {
 			Scenario:        entry.Dist.Scenario.Name(),
 			Accuracy:        aPrime,
 			OfflineAccuracy: entry.Dist.Accuracy,
-			Queries:         len(rows),
+			Queries:         q.x.Rows,
 			Verdict:         verdict.String(),
 			Sigmas:          sigmas,
 		})
@@ -382,7 +317,7 @@ func (s *Server) handleDistinguish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, distinguishResponse{
 		Model:           entry.Name,
 		Version:         entry.Version,
-		Queries:         len(rows),
+		Queries:         q.x.Rows,
 		Accuracy:        aPrime,
 		OfflineAccuracy: entry.Dist.Accuracy,
 		Verdict:         verdict.String(),
@@ -413,9 +348,9 @@ func (s *Server) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "this server runs without an audit ledger")
 		return
 	}
-	var seq uint64
-	if _, err := fmt.Sscanf(r.URL.Query().Get("seq"), "%d", &seq); err != nil {
-		writeError(w, http.StatusBadRequest, "seq query parameter must be a record sequence number")
+	seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "seq query parameter must be a decimal record sequence number")
 		return
 	}
 	p, err := s.cfg.Ledger.Proof(seq)

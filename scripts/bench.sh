@@ -71,14 +71,15 @@ trap 'rm -f "$TMP"' EXIT
 # internal/chaskey + internal/gift: the scalar and bitsliced cipher
 # kernels behind the per-row and slice-window dataset paths.
 # internal/serve: the full HTTP classify path through the
-# micro-batching scheduler (BenchmarkServeClassify).
+# micro-batching scheduler (BenchmarkServeClassify) and the request
+# codec on its own (BenchmarkDecodeRequest).
 # internal/ledger: audit-record append throughput (BenchmarkLedgerAppend).
 # internal/cluster: the routed classify path — router handler, HTTP hop
 # to a replica, micro-batched inference (BenchmarkRouterClassify).
 go test . ./internal/nn/ ./internal/prng/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
     ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ ./internal/serve/ \
     ./internal/ledger/ ./internal/cluster/ -run '^$' \
-    -bench 'Fit|DenseBits|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
+    -bench 'Fit|DenseBits|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DecodeRequest|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.
