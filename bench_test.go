@@ -273,7 +273,10 @@ func firstErr[S core.Scenario](s S, err error) core.Scenario {
 
 // BenchmarkPredictBatch compares per-sample classification (one 1-row
 // forward pass per query, the pre-batching online phase) against one
-// batched forward pass over the same queries.
+// batched forward pass over the same queries, from float rows (batch)
+// and from packed rows (packed). packed-game scores one online game's
+// 20 171 queries (≈ 2^14.3, the paper's online complexity) through one
+// Predictor call, the call whose block size the Predictor fixes.
 func BenchmarkPredictBatch(b *testing.B) {
 	s, err := core.NewGimliCipherScenario(6)
 	if err != nil {
@@ -312,6 +315,19 @@ func BenchmarkPredictBatch(b *testing.B) {
 			_ = c.PredictDataset(d)
 		}
 		b.ReportMetric(float64(d.Len()), "samples/op")
+	})
+	const gameRows = 20171
+	g := core.GenerateDataset(s, (gameRows+1)/2, prng.New(8))
+	x := &nn.BitMatrix{Rows: gameRows, Cols: g.FeatureLen(), Data: g.PackedBits()[:gameRows*g.WordsPerRow()]}
+	b.Run("packed-game", func(b *testing.B) {
+		p := c.Net.NewPredictor()
+		dst := p.PredictBitsInto(nil, x)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = p.PredictBitsInto(dst, x)
+		}
+		b.ReportMetric(gameRows, "samples/op")
 	})
 }
 

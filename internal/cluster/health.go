@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Start runs the router's maintenance loop: every ProbeInterval it
@@ -99,11 +101,11 @@ func (rt *Router) gossipAll() {
 
 // handleGossip is the receiving half of the exchange: merge the
 // caller's view, answer with ours (post-merge), so one round trip
-// syncs both directions.
+// syncs both directions. The body is capped as a replica caps its
+// JSON bodies (serve.DecodeBody).
 func (rt *Router) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var theirs map[string]ReplicaState
-	if err := json.NewDecoder(r.Body).Decode(&theirs); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid gossip body: %v", err)
+	if !serve.DecodeBody(w, r, &theirs) {
 		return
 	}
 	rt.mergeStates(theirs)

@@ -295,14 +295,15 @@ type loadResponse struct {
 // the router and it fans the load out to every owning replica, then
 // polls each owner's /models until the owner's registry version has
 // reached the version the load reported — only then is the reload
-// acked, so a 200 means every owner answers for the new weights.
+// acked, so a 200 means every owner answers for the new weights. The
+// body is read as a replica reads its /models body: at most 16 MiB,
+// 413 past that.
 func (rt *Router) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !serve.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

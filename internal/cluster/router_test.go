@@ -505,6 +505,34 @@ func TestGossipRejectsBadBody(t *testing.T) {
 	}
 }
 
+// TestRouterBodyLimits: the router reads a POST /models or
+// /cluster/gossip body of up to 16 MiB, the replicas' cap, and answers
+// one byte more with a 413, as a replica does.
+func TestRouterBodyLimits(t *testing.T) {
+	rt, _ := newCluster(t, 2, nil)
+	const limit = 16 << 20
+	// sized pads the JSON between prefix and suffix to n bytes.
+	sized := func(n int, prefix, suffix string) string {
+		return prefix + strings.Repeat("a", n-len(prefix)-len(suffix)) + suffix
+	}
+	for _, c := range []struct {
+		path, prefix, suffix string
+		atLimit              int
+	}{
+		{"/models", `{"name":"`, `","path":""}`, http.StatusBadRequest}, // decoded: path missing
+		{"/cluster/gossip", `{"`, `":{}}`, http.StatusOK},               // decoded: unknown replica ignored
+	} {
+		for n, want := range map[int]int{limit: c.atLimit, limit + 1: http.StatusRequestEntityTooLarge} {
+			rec := httptest.NewRecorder()
+			body := strings.NewReader(sized(n, c.prefix, c.suffix))
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, body))
+			if rec.Code != want {
+				t.Errorf("POST %s with a %d-byte body = %d, want %d", c.path, n, rec.Code, want)
+			}
+		}
+	}
+}
+
 func TestRouterStateAndHealth(t *testing.T) {
 	rt, _ := newCluster(t, 2, nil)
 	ts := httptest.NewServer(rt.Handler())

@@ -26,12 +26,11 @@ type NNClassifier struct {
 	OnEpoch func(epoch int, loss, acc float64)
 
 	// Prediction scratch, rebuilt whenever Net is swapped: a Predictor
-	// holding replica layers with reusable buffers, one input matrix and
-	// one output slice shared by every chunk of every PredictBatch call.
+	// holding replica layers with reusable buffers, and one input matrix
+	// shared by every chunk of every PredictBatch call.
 	pred    *nn.Predictor
 	predNet *nn.Network
 	inBuf   *nn.Matrix
-	outBuf  []int
 }
 
 // NewMLPClassifier builds the package's default model: the paper's
@@ -70,14 +69,14 @@ func (c *NNClassifier) Fit(x [][]float64, y []int) error {
 // store through nn.Network.FitBits, whose trained weights are
 // byte-identical to Fit on the Rows() view.
 func (c *NNClassifier) FitDataset(d *Dataset) error {
-	_, err := c.Net.FitBits(datasetBits(d, 0, d.Len()), d.Y, c.fitConfig())
+	_, err := c.Net.FitBits(datasetBits(d), d.Y, c.fitConfig())
 	return err
 }
 
-// datasetBits views rows [lo, hi) of d as an nn.BitMatrix, sharing the
-// packed backing store.
-func datasetBits(d *Dataset, lo, hi int) *nn.BitMatrix {
-	return &nn.BitMatrix{Rows: hi - lo, Cols: d.feat, Data: d.bits[lo*d.words : hi*d.words]}
+// datasetBits views d's rows as an nn.BitMatrix, sharing the packed
+// backing store.
+func datasetBits(d *Dataset) *nn.BitMatrix {
+	return &nn.BitMatrix{Rows: d.Len(), Cols: d.feat, Data: d.bits[:d.Len()*d.words]}
 }
 
 // fitConfig resolves the classifier's training hyperparameters.
@@ -103,18 +102,16 @@ func (c *NNClassifier) fitConfig() nn.FitConfig {
 // Predict returns the network's argmax class.
 func (c *NNClassifier) Predict(x []float64) int { return c.Net.PredictOne(x) }
 
-// predictChunk caps how many rows share one forward pass, bounding the
-// scratch matrices while keeping per-call overhead amortized. It
-// matches the online phase's oracle-buffer cap, so Distinguish chunks
-// map 1:1 onto prediction chunks.
+// predictChunk caps how many float rows PredictBatch copies into its
+// input buffer for one Predictor call, bounding that buffer.
 const predictChunk = 4096
 
-// PredictBatch classifies the batch in forward passes of up to
+// PredictBatch classifies the batch in Predictor calls of up to
 // predictChunk rows, routed through a cached nn.Predictor whose
-// replica layers reuse one set of scratch matrices across chunks and
-// across calls — repeated calls allocate only the returned slice.
-// Predictions are bitwise those of Net.Predict (inference is
-// row-independent, so chunking cannot change any output).
+// workers reuse their block scratch across chunks and across calls —
+// repeated calls allocate only the returned slice. Predictions are
+// bitwise those of Net.Predict (inference is row-independent, so
+// chunking cannot change any output).
 func (c *NNClassifier) PredictBatch(x [][]float64) []int {
 	if len(x) == 0 {
 		return nil
@@ -134,14 +131,13 @@ func (c *NNClassifier) PredictBatch(x [][]float64) []int {
 			}
 			copy(in.Data[(i-lo)*cols:(i-lo+1)*cols], x[i])
 		}
-		c.outBuf = c.pred.PredictInto(c.outBuf, in)
-		copy(out[lo:hi], c.outBuf)
+		c.pred.PredictInto(out[lo:hi], in)
 	}
 	return out
 }
 
 // PredictDataset is PredictBatch fed straight from the packed backing
-// store: each chunk is a view of the packed rows handed to
+// store: a view of the packed rows is handed to
 // nn.Predictor.PredictBitsInto, so scoring a dataset never builds the
 // [][]float64 view. Predictions are bitwise those of PredictBatch on
 // the Rows() view.
@@ -149,20 +145,12 @@ func (c *NNClassifier) PredictDataset(d *Dataset) []int {
 	return c.predictDatasetInto(nil, d)
 }
 
-// predictDatasetInto is PredictDataset writing each chunk's classes
-// straight into its rows of dst.
+// predictDatasetInto is PredictDataset writing the classes into dst,
+// grown only when its capacity is short. The Predictor cuts the rows
+// into blocks itself, so the whole dataset is one call.
 func (c *NNClassifier) predictDatasetInto(dst []int, d *Dataset) []int {
-	n := d.Len()
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
 	c.ensurePredictor()
-	for lo := 0; lo < n; lo += predictChunk {
-		hi := min(lo+predictChunk, n)
-		c.pred.PredictBitsInto(dst[lo:hi], datasetBits(d, lo, hi))
-	}
-	return dst
+	return c.pred.PredictBitsInto(dst, datasetBits(d))
 }
 
 // ensurePredictor rebuilds the cached Predictor when Net was swapped.

@@ -112,9 +112,9 @@ func evalAccuracy(c Classifier, d *Dataset) float64 {
 // predictDatasetInto classifies every row of d: straight from the
 // packed backing store into dst, grown only when its capacity is short,
 // when the classifier understands it (DatasetClassifier; NNClassifier
-// hands the rows to its cached Predictor, which reuses one set of
-// scratch matrices across chunks and calls), through the float view
-// into a new slice otherwise.
+// hands the rows to its cached Predictor, which reuses its block
+// scratch across calls), through the float view into a new slice
+// otherwise.
 func predictDatasetInto(c Classifier, dst []int, d *Dataset) []int {
 	if dc, ok := c.(DatasetClassifier); ok {
 		return dc.predictDatasetInto(dst, d)

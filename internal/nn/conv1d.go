@@ -23,7 +23,7 @@ type Conv1D struct {
 	out                           *Matrix // forward scratch
 	dx                            *Matrix // backward scratch
 
-	scratchEval bool // a replica: inference reuses out too
+	scratchEval bool // a replica: inference reuses out too, on the calling goroutine
 }
 
 // NewConv1D creates a Conv1D layer with Glorot-uniform weights.
@@ -86,9 +86,9 @@ func (c *Conv1D) Forward(x *Matrix, train bool) *Matrix {
 	} else {
 		out = NewMatrix(x.Rows, c.OutDim())
 	}
-	if train {
+	if train || c.scratchEval {
 		// No closure here: it would escape to the heap on every
-		// training step.
+		// training step and every Predictor block.
 		c.forwardRows(x, out, 0, x.Rows)
 	} else {
 		parallelRows(x.Rows, x.Rows*c.SeqLen*c.Filters*c.Kernel*c.InCh, func(lo, hi int) {

@@ -21,10 +21,10 @@ func axpy2AVX2(o, b0, b1 *float64, a0, a1 float64, m4 int)
 func axpy1AVX2(o, b0 *float64, a0 float64, m4 int)
 
 //go:noescape
-func bitsFwd16AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
+func bitsFwd16AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int, relu bool)
 
 //go:noescape
-func bitsFwd1AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
+func bitsFwd1AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int, relu bool)
 
 //go:noescape
 func bitsGrad16AVX2(acc, grad *float64, masks *[64]uint64, nfeat, m int)
@@ -323,10 +323,10 @@ func mulNarrowRange(out, a, b *Matrix, lo, hi int) {
 // bitsMulAccel runs bitsMulRange over the longest 4-aligned prefix of
 // the columns and returns its width; 0 when AVX2 is off. Each 64-column
 // tile of the rows goes through bitsFwd16AVX2, and the columns past the
-// last full tile through bitsFwd1AVX2, four at a time. The kernels walk
-// each row's set bits themselves, so any input width works without
-// scratch.
-func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int) int {
+// last full tile through bitsFwd1AVX2, four at a time; both apply the
+// ReLU before their store when relu is set. The kernels walk each
+// row's set bits themselves, so any input width works without scratch.
+func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int, relu bool) int {
 	m := w.Cols
 	m4 := m &^ 3
 	if !useMulAVX2 || m4 == 0 || lo >= hi {
@@ -336,10 +336,10 @@ func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int)
 	o, xr, tail := out.Data[lo*m:], &x.Data[lo*words], x.tailMask()
 	c := 0
 	for ; c+64 <= m4; c += 64 {
-		bitsFwd16AVX2(&o[c], xr, &w.Data[c], &b[c], hi-lo, words, tail, m)
+		bitsFwd16AVX2(&o[c], xr, &w.Data[c], &b[c], hi-lo, words, tail, m, relu)
 	}
 	for ; c < m4; c += 4 {
-		bitsFwd1AVX2(&o[c], xr, &w.Data[c], &b[c], hi-lo, words, tail, m)
+		bitsFwd1AVX2(&o[c], xr, &w.Data[c], &b[c], hi-lo, words, tail, m, relu)
 	}
 	return m4
 }

@@ -193,8 +193,8 @@ done:
 // The packed first layer's tile kernels hold a 64-double tile of an
 // output row (Y0–Y15) or a 4-double tile (Y0) in registers, add one
 // source row's tile per set bit in ascending bit order, and store the
-// tile once. These macros are the 16-register tile's load, add and
-// store.
+// tile once. These macros are the 16-register tile's load, add, ReLU
+// and store.
 #define ZERO16 \
 	VXORPD Y0, Y0, Y0; VXORPD Y1, Y1, Y1; VXORPD Y2, Y2, Y2; VXORPD Y3, Y3, Y3; \
 	VXORPD Y4, Y4, Y4; VXORPD Y5, Y5, Y5; VXORPD Y6, Y6, Y6; VXORPD Y7, Y7, Y7; \
@@ -219,6 +219,22 @@ done:
 	VADDPD 256(B), Y8, Y8; VADDPD 288(B), Y9, Y9; VADDPD 320(B), Y10, Y10; VADDPD 352(B), Y11, Y11; \
 	VADDPD 384(B), Y12, Y12; VADDPD 416(B), Y13, Y13; VADDPD 448(B), Y14, Y14; VADDPD 480(B), Y15, Y15
 
+// MAX16 replaces each lane v of the tile with max(v, Z), Z as VMAXPD's
+// second source operand.
+#define MAX16(Z) \
+	VMAXPD Z, Y0, Y0; VMAXPD Z, Y1, Y1; VMAXPD Z, Y2, Y2; VMAXPD Z, Y3, Y3; \
+	VMAXPD Z, Y4, Y4; VMAXPD Z, Y5, Y5; VMAXPD Z, Y6, Y6; VMAXPD Z, Y7, Y7; \
+	VMAXPD Z, Y8, Y8; VMAXPD Z, Y9, Y9; VMAXPD Z, Y10, Y10; VMAXPD Z, Y11, Y11; \
+	VMAXPD Z, Y12, Y12; VMAXPD Z, Y13, Y13; VMAXPD Z, Y14, Y14; VMAXPD Z, Y15, Y15
+
+// posZero is four +0 doubles, the ReLU's VMAXPD operand where every
+// register holds the tile.
+DATA posZero<>+0(SB)/8, $0
+DATA posZero<>+8(SB)/8, $0
+DATA posZero<>+16(SB)/8, $0
+DATA posZero<>+24(SB)/8, $0
+GLOBL posZero<>(SB), RODATA|NOPTR, $32
+
 #define ADDIDX16(B, I) \
 	VADDPD 0(B)(I*1), Y0, Y0; VADDPD 32(B)(I*1), Y1, Y1; VADDPD 64(B)(I*1), Y2, Y2; VADDPD 96(B)(I*1), Y3, Y3; \
 	VADDPD 128(B)(I*1), Y4, Y4; VADDPD 160(B)(I*1), Y5, Y5; VADDPD 192(B)(I*1), Y6, Y6; VADDPD 224(B)(I*1), Y7, Y7; \
@@ -233,10 +249,13 @@ done:
 // set bit in ascending k, adds the bias tile last and is stored once:
 // element by element the chain ((+0 + W[k1]) + W[k2]) + … + b that
 // MulInto and AddRowVector give the 0.0/1.0 float row. The bits of the
-// last word are ANDed with tail, so W is never read past its rows.
+// last word are ANDed with tail, so W is never read past its rows. With
+// relu set, each lane becomes max(v, +0) just before the store: with +0
+// as VMAXPD's second source operand that is v when v > 0 and +0 for
+// ±0, negatives and NaN, exactly the ReLU of positiveMask.
 //
-// func bitsFwd16AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
-TEXT ·bitsFwd16AVX2(SB), NOSPLIT, $0-64
+// func bitsFwd16AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int, relu bool)
+TEXT ·bitsFwd16AVX2(SB), NOSPLIT, $0-65
 	MOVQ o+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), R8
@@ -277,6 +296,11 @@ nextword:
 	CMPQ BX, R11
 	JL   word
 	ADD16(R9)
+	CMPB relu+64(FP), $0
+	JEQ  store
+	MAX16(posZero<>(SB))
+
+store:
 	STORE16(DI)
 	ADDQ R13, DI
 	LEAQ (SI)(R11*8), SI
@@ -285,10 +309,11 @@ nextword:
 	VZEROUPPER
 	RET
 
-// bitsFwd1AVX2 is bitsFwd16AVX2 for a 4-column tile, in Y0.
+// bitsFwd1AVX2 is bitsFwd16AVX2 for a 4-column tile, in Y0, with +0 in
+// Y1 for the ReLU.
 //
-// func bitsFwd1AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int)
-TEXT ·bitsFwd1AVX2(SB), NOSPLIT, $0-64
+// func bitsFwd1AVX2(o *float64, x *uint64, w, b *float64, rows, words int, tail uint64, m int, relu bool)
+TEXT ·bitsFwd1AVX2(SB), NOSPLIT, $0-65
 	MOVQ o+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), R8
@@ -299,6 +324,7 @@ TEXT ·bitsFwd1AVX2(SB), NOSPLIT, $0-64
 	SHLQ $3, R13
 	MOVQ R13, DX
 	SHLQ $6, DX
+	VXORPD Y1, Y1, Y1
 
 row:
 	VXORPD Y0, Y0, Y0
@@ -328,7 +354,12 @@ nextword:
 	ADDQ DX, R14
 	CMPQ BX, R11
 	JL   word
-	VADDPD  (R9), Y0, Y0
+	VADDPD (R9), Y0, Y0
+	CMPB   relu+64(FP), $0
+	JEQ    store
+	VMAXPD Y1, Y0, Y0
+
+store:
 	VMOVUPD Y0, (DI)
 	ADDQ R13, DI
 	LEAQ (SI)(R11*8), SI

@@ -13,7 +13,9 @@ func mulRangeAccel(out, a, b *Matrix, lo, hi int) bool { return false }
 func mulTNAccRangeAccel(acc []float64, a, b *Matrix, lo, hi int) bool { return false }
 
 // bitsMulAccel leaves the packed forward pass to plain Go off amd64.
-func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int) int { return 0 }
+func bitsMulAccel(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int, relu bool) int {
+	return 0
+}
 
 // bitsMulTNAccel leaves the packed weight gradient to plain Go off
 // amd64.

@@ -23,8 +23,9 @@ type Param struct {
 //
 // Forward(x, true) and Backward run their kernels on the calling
 // goroutine: only the training engine's replicas train, and its shards
-// are already the parallelism. Forward(x, false) splits large products
-// across goroutines.
+// are already the parallelism. So does Forward(x, false) on a replica,
+// which a Predictor worker runs on one block of rows. Forward(x, false)
+// on a network's own layer splits large products across goroutines.
 type Layer interface {
 	Name() string
 	// InDim and OutDim are the per-sample feature widths, used for
@@ -53,7 +54,7 @@ type Dense struct {
 	wm      Matrix     // weight-view header, avoids a heap allocation per call
 
 	// scratchEval is set on replicas: they reuse the output scratch in
-	// inference mode too.
+	// inference mode too, and run on the calling goroutine.
 	scratchEval bool
 }
 
@@ -104,11 +105,7 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 		}
 		d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 		d.out = ensureMatrix(d.out, x.Rows, d.Out)
-		if train {
-			out = mulIntoSeq(d.out, x, &d.wm)
-		} else {
-			out = MulInto(d.out, x, &d.wm)
-		}
+		out = mulIntoSeq(d.out, x, &d.wm)
 	} else {
 		// Plain inference writes no layer field, so concurrent
 		// Forward(x, false) calls on one network are safe.
@@ -118,33 +115,25 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 	return out
 }
 
-// forwardBits is Forward for packed {0,1} input: b + Σ W[k] over each
-// row's set bits, bit-identical to Forward on the 0.0/1.0 float rows
-// (see bitsMulRange, which adds the bias too). Training runs it on the
-// calling goroutine; inference splits rows across goroutines as
-// MulInto does.
-func (d *Dense) forwardBits(x *BitMatrix, train bool) *Matrix {
+// forwardBits is Forward for packed {0,1} input, into the layer's
+// output scratch on the calling goroutine: b + Σ W[k] over each row's
+// set bits, bit-identical to Forward on the 0.0/1.0 float rows (see
+// bitsMulRange, which adds the bias too). With relu set the kernels
+// also apply a following ReLU before they store, as a Predictor
+// worker's fused first layer asks; training passes false, because its
+// Activation replica keeps the pre-activations for Backward.
+func (d *Dense) forwardBits(x *BitMatrix, train, relu bool) *Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s got packed input width %d", d.Name(), x.Cols))
 	}
 	x.check()
-	var out *Matrix
-	if train || d.scratchEval {
-		if train {
-			d.x, d.xb = nil, x
-		}
-		d.out = ensureMatrix(d.out, x.Rows, d.Out)
-		out = d.out
-	} else {
-		out = NewMatrix(x.Rows, d.Out)
-	}
-	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
 	if train {
-		bitsMulRange(out, x, &d.wm, d.b.W, 0, x.Rows)
-	} else {
-		bitsMulParallel(out, x, &d.wm, d.b.W)
+		d.x, d.xb = nil, x
 	}
-	return out
+	d.out = ensureMatrix(d.out, x.Rows, d.Out)
+	d.wm = Matrix{Rows: d.In, Cols: d.Out, Data: d.w.W}
+	bitsMulRange(d.out, x, &d.wm, d.b.W, 0, x.Rows, relu)
+	return d.out
 }
 
 // Backward accumulates dW = xᵀ·g, db = Σ g and returns dx = g·Wᵀ. The
@@ -335,6 +324,16 @@ func positiveMask(v float64) uint64 {
 	return -keep
 }
 
+// reluInto writes the ReLU of src's elements into dst, which may be
+// src itself. Keeping v's bits under positiveMask turns ±0, negatives
+// and NaN into +0.
+func reluInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(v))
+	}
+}
+
 // apply writes the nonlinearity of x's elements into out, which may be
 // x itself: each element is read before it is written. The kind switch
 // is hoisted out of the element loops; each loop body computes
@@ -343,11 +342,7 @@ func (a *Activation) apply(out, x *Matrix) {
 	dst := out.Data[:len(x.Data)]
 	switch a.Kind {
 	case ReLU:
-		// Keeping v's bits under positiveMask turns ±0, negatives and
-		// NaN into +0.
-		for i, v := range x.Data {
-			dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(v))
-		}
+		reluInto(dst, x.Data)
 	case LeakyReLU:
 		for i, v := range x.Data {
 			if v > 0 {

@@ -35,13 +35,18 @@ type LSTM struct {
 	fwd   lstmSteps // the last training forward pass, for BPTT
 	batch int
 
+	// scratchEval is set on replicas: inference reuses fwd's matrices
+	// too, and runs on the calling goroutine.
+	scratchEval bool
+
 	// Backward scratch, reused across steps.
 	dx, dh, dc, dcPrev, dz, dxt *Matrix
 }
 
 // lstmSteps is one forward pass's per-timestep matrices (length
-// SeqLen each) and its step scratch. Training keeps it on the layer;
-// inference builds a fresh one, so it writes no layer field.
+// SeqLen each) and its step scratch. Training and replicas keep it on
+// the layer; inference on a network's own layer builds a fresh one, so
+// it writes no layer field.
 type lstmSteps struct {
 	xs             []*Matrix // inputs per step (batch×In)
 	is, fs, gs, os []*Matrix // gate activations (batch×H)
@@ -113,9 +118,10 @@ func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 func (l *LSTM) replica() Layer {
 	return &LSTM{
 		SeqLen: l.SeqLen, In: l.In, Hidden: l.Hidden, ReturnSeq: l.ReturnSeq,
-		wx: &Param{Name: l.wx.Name, W: l.wx.W},
-		wh: &Param{Name: l.wh.Name, W: l.wh.W},
-		b:  &Param{Name: l.b.Name, W: l.b.W},
+		wx:          &Param{Name: l.wx.Name, W: l.wx.W},
+		wh:          &Param{Name: l.wh.Name, W: l.wh.W},
+		b:           &Param{Name: l.b.Name, W: l.b.W},
+		scratchEval: true,
 	}
 }
 
@@ -128,20 +134,21 @@ func (l *LSTM) ParamCount() int {
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // Forward runs the sequence and returns the final hidden state, or
-// every hidden state when ReturnSeq is set. Inference writes no layer
-// field.
+// every hidden state when ReturnSeq is set. Inference on a network's
+// own layer writes no layer field.
 func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 	if x.Cols != l.InDim() {
 		panic(fmt.Sprintf("nn: %s got input width %d", l.Name(), x.Cols))
 	}
 	batch := x.Rows
 	H := l.Hidden
-	var s *lstmSteps
-	if train {
-		s = &l.fwd
-		l.batch = batch
-	} else {
+	serial := train || l.scratchEval
+	s := &l.fwd
+	if !serial {
 		s = new(lstmSteps)
+	}
+	if train {
+		l.batch = batch
 	}
 	s.wx = Matrix{Rows: l.In, Cols: 4 * H, Data: l.wx.W}
 	s.wh = Matrix{Rows: H, Cols: 4 * H, Data: l.wh.W}
@@ -167,7 +174,7 @@ func (l *LSTM) Forward(x *Matrix, train bool) *Matrix {
 		for n := 0; n < batch; n++ {
 			copy(xt.Row(n), x.Row(n)[t*l.In:(t+1)*l.In])
 		}
-		if train {
+		if serial {
 			mulIntoSeq(z, xt, wx)
 			mulIntoSeq(zh, h, wh)
 		} else {

@@ -19,7 +19,7 @@ import (
 // time with the addition chains MulInto, AddRowVector and MulTNAcc
 // apply to the equivalent 0.0/1.0 float rows, so results are
 // bit-identical to the float path. Other networks expand the rows to
-// floats first.
+// floats first, a Predictor one block of rows at a time.
 type BitMatrix struct {
 	Rows, Cols int
 	Data       []uint64
@@ -70,12 +70,14 @@ func (b *BitMatrix) expand(out *Matrix) *Matrix {
 // set bits. Every element is the chain ((+0 + W[k1]) + W[k2]) + … + b,
 // set bits ascending, that MulInto and AddRowVector give the 0.0/1.0
 // float row — one rounding per nonzero k, and 1·w is exact — so the
-// result is bit-identical to the float product. bitsMulAccel computes
-// the 4-aligned column prefix in registers; the rest, and all of it
-// when AVX2 is off, runs the chain in plain Go.
-func bitsMulRange(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int) {
+// result is bit-identical to the float product. With relu set, each
+// element then becomes its ReLU before it is stored, bit-identical to
+// a ReLU Activation over the unfused output. bitsMulAccel computes the
+// 4-aligned column prefix in registers; the rest, and all of it when
+// AVX2 is off, runs the chain in plain Go.
+func bitsMulRange(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int, relu bool) {
 	m := w.Cols
-	c0 := bitsMulAccel(out, x, w, b, lo, hi)
+	c0 := bitsMulAccel(out, x, w, b, lo, hi, relu)
 	if c0 == m {
 		return
 	}
@@ -94,16 +96,10 @@ func bitsMulRange(out *Matrix, x *BitMatrix, w *Matrix, b []float64, lo, hi int)
 			}
 		}
 		addRowsGo(orow, b[c0:])
+		if relu {
+			reluInto(orow, orow)
+		}
 	}
-}
-
-// bitsMulParallel is bitsMulRange over every row of x, split across
-// goroutines as MulInto splits its rows. It is a function of its own
-// so that the closure it builds stays off the training path.
-func bitsMulParallel(out *Matrix, x *BitMatrix, w *Matrix, b []float64) {
-	parallelRows(x.Rows, x.Rows*w.Rows*w.Cols, func(lo, hi int) {
-		bitsMulRange(out, x, w, b, lo, hi)
-	})
 }
 
 // bitsMulTNAcc accumulates xᵀ·g into the flat Cols×g.Cols buffer acc —

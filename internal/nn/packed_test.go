@@ -135,9 +135,9 @@ func TestFitBitsMatchesFit(t *testing.T) {
 	}
 }
 
-// TestDenseBitsKernelsMatchFloat: the packed first-layer forward
-// (serial in training, row-parallel in inference) and weight gradient
-// equal the float kernels to the last bit, including the sign of zero.
+// TestDenseBitsKernelsMatchFloat: the packed first-layer forward, plain
+// and with the Predictor's fused ReLU, and the weight gradient equal
+// the float kernels to the last bit, including the sign of zero.
 // The output widths reach the narrow tile alone (4, 9, 33), one or more
 // full tiles (64, 128), and both with a plain-Go tail (70, 200); the
 // row counts fall on either side of the gradient's 64-sample block.
@@ -164,8 +164,9 @@ func TestDenseBitsKernelsMatchFloat(t *testing.T) {
 					run := func() {
 						what := fmt.Sprintf("cols=%d out=%d rows=%d scalar=%v", cols, out, rows, scalar)
 						want := d.Forward(x, false)
-						matricesBitIdentical(t, what+" forward", d.forwardBits(xb, false), want)
-						matricesBitIdentical(t, what+" training forward", d.forwardBits(xb, true), want)
+						matricesBitIdentical(t, what+" forward", d.forwardBits(xb, true, false), want)
+						wantReLU := NewActivation(ReLU, out).Forward(want, false)
+						matricesBitIdentical(t, what+" fused ReLU forward", d.forwardBits(xb, false, true), wantReLU)
 						wantG := randMatrix(r, cols, out)
 						for i := 0; i < len(wantG.Data); i += 7 {
 							wantG.Data[i] = negZero
@@ -290,7 +291,7 @@ func BenchmarkDenseBits(b *testing.B) {
 		for _, rows := range []int{16, 2048} {
 			_, xb := randBits(r, rows, 128, false)
 			b.Run(fmt.Sprintf("forward/out=%d/rows=%d", out, rows), func(b *testing.B) {
-				benchSetBits(b, xb, func() { d.forwardBits(xb, true) })
+				benchSetBits(b, xb, func() { d.forwardBits(xb, true, false) })
 			})
 		}
 		_, xb := randBits(r, 16, 128, false)

@@ -1,14 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // This file implements the data-parallel deterministic training engine,
-// which trains every network, and the allocation-free batched
-// Predictor.
+// which trains every network, and the block-parallel Predictor.
 //
 // Determinism contract (the same one GenerateDatasetParallel honors):
 // training results are byte-identical at any worker count. Floating-
@@ -312,7 +313,7 @@ func (st *fitState) runShard(w, v int) {
 			copy(bx.Row(k), xb.Row(i))
 		}
 		st.inb[w] = bx
-		out = layers[0].(*Dense).forwardBits(bx, true)
+		out = layers[0].(*Dense).forwardBits(bx, true, false)
 	} else {
 		bx := ensureMatrix(st.in[w], rows, st.cols)
 		for k, i := range src {
@@ -369,42 +370,182 @@ func backward(layers []Layer, g *Matrix) {
 	layers[0].Backward(g)
 }
 
-// Predictor runs batched inference through replica layers that own
-// reusable scratch buffers, so chunked prediction loops (classifier
-// evaluation, the online distinguishing phase) stop allocating fresh
-// intermediate matrices per chunk. Results are bitwise identical to
-// Network.Predict. A Predictor is not safe for concurrent use; derive
-// one per goroutine with NewPredictor.
+// predictBlock is the number of rows a Predictor worker runs through
+// the whole network at a time. A block's intermediates stay in the
+// worker's cache from the first layer to the head: 64 rows of the
+// Table 2 MLP's 128 hidden units are 64 KiB. BenchmarkPredictBatch
+// measured 64 ahead of 32 and 128.
+const predictBlock = 64
+
+// Predictor runs batched inference: rows are cut into predictBlock-row
+// blocks, and the calling goroutine plus up to GOMAXPROCS−1 helpers
+// each claim blocks from an atomic cursor and run the whole network on
+// one block at a time, through a replica stack of their own with
+// block-sized scratch and single-goroutine kernels. A block writes
+// only its own rows of dst. Inference is row-independent and every
+// element keeps its addition chain, so the classes are bitwise those
+// of Network.Predict at any GOMAXPROCS.
+//
+// Each worker's replicas are built once, the first time a call needs
+// that many workers, so steady-state calls allocate nothing per block,
+// and a call of more than one block allocates only its helper
+// goroutines. A Predictor is not safe for concurrent use; derive one
+// per goroutine with NewPredictor.
 type Predictor struct {
+	net     *Network
+	workers []*predictWorker // [0] runs on the calling goroutine
+
+	// The current call, set before any helper starts and cleared when
+	// the call returns.
+	x      *Matrix    // float rows, or nil
+	xb     *BitMatrix // packed rows, or nil
+	dst    []int
+	rows   int
+	next   atomic.Int64 // next block to claim
+	wg     sync.WaitGroup
+	logits *Matrix // when non-nil (tests), each block copies its head outputs into its rows
+}
+
+// predictWorker is one worker's replica stack and block views.
+type predictWorker struct {
 	layers []Layer // replicas of the network's layers
-	in     *Matrix // float expansion of packed rows (non-Dense first layer)
+	// dense is layers[0] when it is Dense, which reads packed blocks
+	// directly; relu is set when layers[1] is a ReLU Activation, which
+	// dense's kernels then apply themselves, and rest is what follows.
+	dense *Dense
+	relu  bool
+	rest  []Layer
+	xv    Matrix    // the current float block, a view of the caller's rows
+	xbv   BitMatrix // the current packed block, a view of the caller's rows
+	in    *Matrix   // a packed block expanded to floats, when dense is nil
 }
 
 // NewPredictor builds a Predictor for the network.
 func (n *Network) NewPredictor() *Predictor {
-	layers := make([]Layer, len(n.layers))
+	return &Predictor{net: n, workers: []*predictWorker{newPredictWorker(n)}}
+}
+
+func newPredictWorker(n *Network) *predictWorker {
+	w := &predictWorker{layers: make([]Layer, len(n.layers))}
 	for i, l := range n.layers {
-		layers[i] = l.replica()
+		w.layers[i] = l.replica()
 	}
-	return &Predictor{layers: layers}
+	w.dense, _ = w.layers[0].(*Dense)
+	w.rest = w.layers[1:]
+	if w.dense != nil && len(w.rest) > 0 {
+		if a, ok := w.rest[0].(*Activation); ok && a.Kind == ReLU {
+			w.relu, w.rest = true, w.rest[1:]
+		}
+	}
+	return w
 }
 
 // PredictInto writes the argmax class of each row of x into dst,
 // growing it only if its capacity is insufficient, and returns the
-// resulting slice. Steady-state calls with a recycled dst and a stable
-// chunk shape perform no allocations.
+// resulting slice.
 func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
-	if cap(dst) < x.Rows {
-		dst = make([]int, x.Rows)
-	}
-	return argmaxRows(dst[:x.Rows], forwardFrom(p.layers, x, x))
+	p.checkWidth(x.Cols)
+	p.x = x
+	return p.run(dst, x.Rows)
 }
 
-// forwardFrom runs the replica layers on x in inference mode. An
+// PredictBitsInto is PredictInto for packed {0,1} rows. A Dense first
+// layer reads each packed block directly (Dense.forwardBits); any
+// other network predicts from the block expanded to 0.0/1.0 floats.
+// Either way the classes are bitwise those of PredictInto on the float
+// rows.
+func (p *Predictor) PredictBitsInto(dst []int, x *BitMatrix) []int {
+	p.checkWidth(x.Cols)
+	x.check()
+	p.xb = x
+	return p.run(dst, x.Rows)
+}
+
+// Predict returns the argmax class of each row of x.
+func (p *Predictor) Predict(x *Matrix) []int {
+	return p.PredictInto(nil, x)
+}
+
+// checkWidth panics unless the rows have the network's input width. It
+// runs on the caller before any helper starts, so a malformed input
+// never panics inside a helper goroutine, and a call of zero rows is
+// checked too.
+func (p *Predictor) checkWidth(cols int) {
+	if cols != p.net.InDim() {
+		panic(fmt.Sprintf("nn: Predictor got input width %d, want %d", cols, p.net.InDim()))
+	}
+}
+
+// run classifies the call's rows into dst: the caller works blocks
+// alongside up to GOMAXPROCS−1 helper goroutines, one per further
+// block at most, and returns once every worker has stopped.
+func (p *Predictor) run(dst []int, rows int) []int {
+	if cap(dst) < rows {
+		dst = make([]int, rows)
+	}
+	dst = dst[:rows]
+	p.dst, p.rows = dst, rows
+	p.next.Store(0)
+	workers := max(1, min(runtime.GOMAXPROCS(0), (rows+predictBlock-1)/predictBlock))
+	for len(p.workers) < workers {
+		p.workers = append(p.workers, newPredictWorker(p.net))
+	}
+	p.wg.Add(workers - 1)
+	for _, w := range p.workers[1:workers] {
+		go p.help(w)
+	}
+	p.work(p.workers[0])
+	p.wg.Wait()
+	p.x, p.xb, p.dst = nil, nil, nil
+	return dst
+}
+
+// help is one helper goroutine's share of a call.
+func (p *Predictor) help(w *predictWorker) {
+	p.work(w)
+	p.wg.Done()
+}
+
+// work claims blocks until none is left, running each through w's
+// replicas and writing its classes into its rows of dst.
+func (p *Predictor) work(w *predictWorker) {
+	for {
+		lo := (int(p.next.Add(1)) - 1) * predictBlock
+		if lo >= p.rows {
+			return
+		}
+		hi := min(lo+predictBlock, p.rows)
+		out := w.forward(p.x, p.xb, lo, hi)
+		argmaxRows(p.dst[lo:hi], out)
+		if p.logits != nil {
+			copy(p.logits.Data[lo*out.Cols:hi*out.Cols], out.Data)
+		}
+	}
+}
+
+// forward runs rows [lo, hi) of x or xb, whichever is set, through the
+// worker's replicas and returns the head's outputs for them.
+func (w *predictWorker) forward(x *Matrix, xb *BitMatrix, lo, hi int) *Matrix {
+	if xb == nil {
+		c := x.Cols
+		w.xv = Matrix{Rows: hi - lo, Cols: c, Data: x.Data[lo*c : hi*c]}
+		return forwardFrom(w.layers, &w.xv, &w.xv)
+	}
+	words := xb.Words()
+	w.xbv = BitMatrix{Rows: hi - lo, Cols: xb.Cols, Data: xb.Data[lo*words : hi*words]}
+	if w.dense == nil {
+		w.in = w.xbv.expand(ensureMatrix(w.in, hi-lo, xb.Cols))
+		return forwardFrom(w.layers, w.in, nil)
+	}
+	return forwardFrom(w.rest, w.dense.forwardBits(&w.xbv, false, w.relu), nil)
+}
+
+// forwardFrom runs replica layers on x in inference mode. An
 // activation whose input is not the caller's matrix writes over it:
-// that input is an earlier replica's scratch, which nothing reads
-// again before the next call rewrites it, so the activation needs no
-// batch-sized buffer of its own.
+// that input is an earlier replica's scratch (or the worker's own
+// expansion of a packed block), which nothing reads again before the
+// next block rewrites it, so the activation needs no block-sized
+// buffer of its own.
 func forwardFrom(layers []Layer, x, caller *Matrix) *Matrix {
 	for _, l := range layers {
 		if a, ok := l.(*Activation); ok && x != caller {
@@ -416,33 +557,10 @@ func forwardFrom(layers []Layer, x, caller *Matrix) *Matrix {
 	return x
 }
 
-// PredictBitsInto is PredictInto for packed {0,1} rows. A Dense first
-// layer reads the packed rows directly (Dense.forwardBits); any other
-// network predicts from the rows expanded to 0.0/1.0 floats. Either
-// way the classes are bitwise those of PredictInto on the float rows.
-func (p *Predictor) PredictBitsInto(dst []int, x *BitMatrix) []int {
-	d, ok := p.layers[0].(*Dense)
-	if !ok {
-		x.check()
-		p.in = x.expand(ensureMatrix(p.in, x.Rows, x.Cols))
-		return p.PredictInto(dst, p.in)
-	}
-	if cap(dst) < x.Rows {
-		dst = make([]int, x.Rows)
-	}
-	out := forwardFrom(p.layers[1:], d.forwardBits(x, false), nil)
-	return argmaxRows(dst[:x.Rows], out)
-}
-
 // argmaxRows writes the argmax class of each row of out into dst.
 func argmaxRows(dst []int, out *Matrix) []int {
 	for i := range dst {
 		dst[i] = Argmax(out.Row(i))
 	}
 	return dst
-}
-
-// Predict returns the argmax class of each row of x.
-func (p *Predictor) Predict(x *Matrix) []int {
-	return p.PredictInto(nil, x)
 }

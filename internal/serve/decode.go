@@ -30,7 +30,8 @@ import (
 //   - a float row value must equal 0 or 1 (checked in validate).
 
 // maxBody bounds request bodies, the same 16 MiB cap the cluster
-// router applies. Replicas are directly reachable, so they enforce it
+// router applies to every body it reads (through ReadRequest and
+// DecodeBody). Replicas are directly reachable, so they enforce it
 // themselves rather than trusting a router in front.
 const maxBody = 16 << 20
 

@@ -186,11 +186,12 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody decodes a JSON request body other than a classify or
+// DecodeBody decodes a JSON request body other than a classify or
 // distinguish request (see decode.go for those) into v, reading at most
 // maxBody bytes. On error it writes the response itself — 413 for an
-// oversized body, 400 for anything else — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// oversized body, 400 for anything else — and returns false. The
+// cluster router reads its own JSON bodies with it too.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
@@ -405,7 +406,7 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

@@ -25,8 +25,9 @@
 #     (default 10s) of random exploration, skippable with CHECK_FUZZ=0
 #     for quick local iteration, and prints its final exec count;
 #   - a benchmark smoke (one iteration of the training-engine, packed
-#     first-layer kernel, online-phase and serving benchmarks) so
-#     BenchmarkFit, BenchmarkDenseBits, BenchmarkOracleGameOnline,
+#     first-layer kernel, online-phase, batched-inference and serving
+#     benchmarks) so BenchmarkFit, BenchmarkDenseBits,
+#     BenchmarkOracleGameOnline, BenchmarkPredictBatch,
 #     BenchmarkServeClassify and BenchmarkDecodeRequest cannot silently
 #     rot between full `make bench` runs, skippable with CHECK_BENCH=0;
 #   - a coverage gate on ten packages (see the check_cover list at the
@@ -93,8 +94,8 @@ if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
 fi
 
 # --- Benchmark smoke: one iteration of the training-engine, packed
-# first-layer kernel, online-phase, cipher kernel and serving
-# benchmarks keeps them compiling and running; full measurements come from `make bench`
+# first-layer kernel, online-phase, batched-inference, cipher kernel and
+# serving benchmarks keeps them compiling and running; full measurements come from `make bench`
 # (scripts/bench.sh). The regression gate then
 # replays the two most recent committed BENCH_*.json snapshots through
 # benchdiff -max-regress, so a snapshot that records a ns/op regression
@@ -104,7 +105,7 @@ fi
 # BENCH_MAX_REGRESS=20 ./scripts/check.sh.
 if [[ "${CHECK_BENCH:-1}" != "0" ]]; then
   go test ./internal/nn/ -run '^$' -bench 'Fit|DenseBits' -benchtime 1x
-  go test . -run '^$' -bench OracleGameOnline -benchtime 1x
+  go test . -run '^$' -bench 'OracleGameOnline|PredictBatch' -benchtime 1x
   go test ./internal/gimli/ ./internal/speck/ -run '^$' \
       -bench 'PermuteRounds|SpeckEncrypt' -benchtime 1x
   go test ./internal/simon/ ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ -run '^$' \
